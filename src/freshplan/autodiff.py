@@ -4,9 +4,12 @@ A `Tensor` is one node of an acyclic computation graph: it holds a value, a
 gradient slot, references to its operand nodes, and a closure that applies the
 local derivative during the backward sweep.  Scalars are tensors of shape ();
 `backward` may only be started from one of those.  The op set is exactly what
-the forecasting model needs (elementwise arithmetic, matmul with stacked batch
-dimensions, time-axis shift/concat for causal convolutions, softmax, reductions)
-rather than a general broadcasting engine.
+the forecasting model needs rather than a general broadcasting engine:
+elementwise `add`, `sub`, `mul`, `pow_const` and `relu`; `matmul` with stacked
+batch dimensions and `reshape`; `delay_stack` (the K delayed copies a causal
+convolution reads, side by side on the channel axis), `concat_time` and
+`last_step` on the time axis; `mean` and `softmax_last`.  `Adam` updates the
+parameters of a `ParamSet`.
 
 Gradient correctness is validated against central finite differences in the
 test suite; `finite_difference_check` implements the probe.
@@ -44,9 +47,9 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # Out-of-place sum: the first gradient is stored as given and may be
+        # a view shared with another node, so it is never mutated.
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -148,24 +151,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backprop)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backprop(g: np.ndarray) -> None:
-        a.accumulate(g * out_data)
-
-    return Tensor(out_data, _parents=(a,), _backward=backprop)
-
-
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def backprop(g: np.ndarray) -> None:
-        a.accumulate(g / a.data)
-
-    return Tensor(out_data, _parents=(a,), _backward=backprop)
-
-
 # -- linear algebra -------------------------------------------------------
 
 
@@ -182,18 +167,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _backward=backprop)
 
 
-def take_index(a: Tensor, index: int) -> Tensor:
-    """Select a[index] along the first axis."""
-    out_data = a.data[index]
-
-    def backprop(g: np.ndarray) -> None:
-        ga = np.zeros_like(a.data)
-        ga[index] = g
-        a.accumulate(ga)
-
-    return Tensor(out_data, _parents=(a,), _backward=backprop)
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out_data = a.data.reshape(shape)
 
@@ -206,22 +179,27 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 # -- time-axis ops for causal convolution (arrays are [..., T, C]) --------
 
 
-def shift_time(a: Tensor, steps: int) -> Tensor:
-    """Delay the time axis by `steps`, zero-filling the start."""
-    if steps < 0:
-        raise InvariantError("shift_time only delays (steps >= 0)")
-    out_data = np.zeros_like(a.data)
-    if steps == 0:
-        out_data[...] = a.data
-    else:
-        out_data[..., steps:, :] = a.data[..., :-steps, :]
+def delay_stack(a: Tensor, taps: int, dilation: int) -> Tensor:
+    """Stack `taps` delayed copies of [..., T, C] on the channel axis.
+
+    Channels r*C .. (r+1)*C - 1 of the [..., T, taps*C] result hold `a` delayed
+    by r * dilation steps, zero-filled at the start; a delay of T or more gives
+    an all-zero block.
+    """
+    if taps < 1 or dilation < 1:
+        raise InvariantError(f"delay_stack needs taps >= 1 and dilation >= 1, "
+                             f"got {taps} and {dilation}")
+    t, c = a.data.shape[-2:]
+    # (tap, delay) pairs that reach into the sequence; the rest stay zero.
+    live = [(r, r * dilation) for r in range(taps) if r * dilation < t]
+    out_data = np.zeros(a.data.shape[:-1] + (taps * c,))
+    for r, s in live:
+        out_data[..., s:, r * c:(r + 1) * c] = a.data[..., :t - s, :]
 
     def backprop(g: np.ndarray) -> None:
         ga = np.zeros_like(a.data)
-        if steps == 0:
-            ga[...] = g
-        else:
-            ga[..., :-steps, :] = g[..., steps:, :]
+        for r, s in live:
+            ga[..., :t - s, :] += g[..., s:, r * c:(r + 1) * c]
         a.accumulate(ga)
 
     return Tensor(out_data, _parents=(a,), _backward=backprop)
@@ -324,7 +302,7 @@ def backward(loss: Tensor) -> None:
 
 
 class ParamSet:
-    """Named trainable tensors of one model, with bit-exact text persistence."""
+    """Named trainable tensors of one model."""
 
     def __init__(self, named: Sequence[tuple[str, Tensor]]):
         names = [name for name, _ in named]
@@ -338,32 +316,6 @@ class ParamSet:
     def zero_grads(self) -> None:
         for _, t in self.named:
             t.zero_grad()
-
-    def save(self, path: str) -> None:
-        # float.hex round-trips exactly, so reloads are bit-identical.
-        with open(path, "w", encoding="utf-8") as fh:
-            for name, t in self.named:
-                shape = "x".join(str(d) for d in t.data.shape) or "scalar"
-                values = ",".join(float(v).hex() for v in t.data.ravel())
-                fh.write(f"{name},{shape},{values}\n")
-
-    def load(self, path: str) -> None:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-        by_name = {name: t for name, t in self.named}
-        seen = set()
-        for line in lines:
-            name, shape_str, *values = line.split(",")
-            if name not in by_name:
-                raise InvariantError(f"unknown parameter {name!r} in {path}")
-            shape = () if shape_str == "scalar" else tuple(int(d) for d in shape_str.split("x"))
-            data = np.array([float.fromhex(v) for v in values], dtype=np.float64).reshape(shape)
-            if data.shape != by_name[name].data.shape:
-                raise InvariantError(f"shape mismatch for {name!r} in {path}")
-            by_name[name].data = data
-            seen.add(name)
-        if seen != set(by_name):
-            raise InvariantError(f"{path} is missing parameters: {sorted(set(by_name) - seen)}")
 
 
 class Adam:
@@ -393,11 +345,6 @@ class Adam:
             v_hat = self._v[i] / (1.0 - self.beta2 ** self.t)
             tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
         self.params.zero_grads()
-
-
-def sgd_adam_step(optimizer: Adam, lr: float | None = None) -> None:
-    """Apply one Adam update to the optimizer's parameters and zero their grads."""
-    optimizer.step(lr)
 
 
 # -- gradient verification ---------------------------------------------------

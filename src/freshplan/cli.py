@@ -45,18 +45,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _read_csv(path: Path, header: list[str]) -> list[dict[str, str]]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != header:
-                raise InputError(f"{path}: expected header {','.join(header)}, "
-                                 f"got {reader.fieldnames}")
-            return list(reader)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
 def _boundary_table(config: RunConfig) -> TermBoundaryTable:
     if config.paths.boundaries:
         return TermBoundaryTable.from_csv(config.paths.boundaries)
@@ -168,9 +156,9 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
                                                   level=config.bootstrap.level)
         rows.append([pid, _fmt(interval.level), _fmt(interval.mean), _fmt(interval.std),
                      _fmt(interval.lower), _fmt(interval.upper)])
-        for day in range(ensemble.daily.shape[1]):
-            day_mean = float(ensemble.daily[:, day].mean())
-            day_std = float(ensemble.daily[:, day].std())
+        for day in range(interval.daily.shape[1]):
+            day_mean = float(interval.daily[:, day].mean())
+            day_std = float(interval.daily[:, day].std())
             daily_rows.append([pid, _fmt(interval.level), str(day),
                                _fmt(day_mean), _fmt(day_std),
                                _fmt(max(0.0, day_mean - z * day_std)),
@@ -234,35 +222,44 @@ def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
 def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
                  baseline: str | None = None) -> None:
     started = manifest.start_stage("optimize")
-    ranking_rows = _read_csv(out_dir / config.paths.ranking, RANKING_HEADER)
-    forecast_rows = _read_csv(out_dir / config.paths.forecast, FORECAST_HEADER)
-    interval_rows = _read_csv(out_dir / config.paths.intervals, INTERVALS_HEADER)
+    ranking_rows = pipeline.read_rows(out_dir / config.paths.ranking, RANKING_HEADER)
+    forecast_rows = pipeline.read_rows(out_dir / config.paths.forecast, FORECAST_HEADER)
+    interval_rows = pipeline.read_rows(out_dir / config.paths.intervals, INTERVALS_HEADER)
     qty_frames, price_frames = pipeline.load_sales(str(out_dir / config.paths.sales))
 
     unit_costs: dict[str, list[float]] = {}
-    for row in forecast_rows:
+    for _, row in forecast_rows:
         unit_costs.setdefault(row["product_id"], []).append(float(row["predicted_cost"]))
     intervals_by_id = {
         row["product_id"]: intervals_mod.SalesInterval(
             product_id=row["product_id"], mean=float(row["mean"]), std=float(row["std"]),
             lower=float(row["lower"]), upper=float(row["upper"]), level=float(row["level"]))
-        for row in interval_rows
+        for _, row in interval_rows
     }
 
-    ranked_ids = [row["product_id"] for row in ranking_rows]
+    ranked_ids = [row["product_id"] for _, row in ranking_rows]
     selected = ranked_ids[:min(config.topsis.top_k, len(ranked_ids))]
 
-    contexts, demand_rows = [], []
+    contexts, demand_rows, skipped = [], [], []
+
+    def skip(pid: str, reason: str) -> None:
+        log.warning("optimize: skipping %s (%s)", pid, reason)
+        skipped.append({"product_id": pid, "reason": reason})
+
     for pid in selected:
         if pid not in unit_costs or pid not in intervals_by_id or pid not in qty_frames:
-            log.warning("optimize: skipping %s (missing forecast, interval, or sales)", pid)
+            skip(pid, "missing forecast, interval, or sales")
+            continue
+        unit_cost = float(np.mean(unit_costs[pid]))
+        if not unit_cost > 0.0:
+            skip(pid, f"forecast unit cost {unit_cost:.6f} is not positive")
             continue
         curve = demand_mod.fit_demand(price_frames[pid].values, qty_frames[pid].values, pid)
         demand_rows.append([pid, _fmt(curve.intercept), _fmt(curve.slope),
                             _fmt(curve.r_squared), "true" if curve.anomalous_slope else "false"])
         contexts.append(gaopt.ProductContext(
             product_id=pid,
-            unit_cost=float(np.mean(unit_costs[pid])),
+            unit_cost=unit_cost,
             demand=curve,
             interval=intervals_by_id[pid],
         ))
@@ -297,7 +294,7 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
     _write_csv(trace_path, GA_TRACE_HEADER, trace_rows)
 
     extra = {"best_profit": round(result.best_fitness, 6),
-             "evaluations": result.evaluations, "products": len(contexts)}
+             "evaluations": result.evaluations, "products": len(contexts), "skipped": skipped}
     if baseline == "random":
         _, random_best = gaopt.random_search(
             contexts, result.evaluations, seed=derive_seed(config.seed, "optimize", "baseline"))
@@ -312,10 +309,10 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
 
 def cmd_evaluate(pred_path: Path, truth_path: Path) -> forecaster.MetricsReport:
     """Join predictions with realized costs on (product_id, date) and score them."""
-    pred_rows = _read_csv(pred_path, FORECAST_HEADER)
+    pred_rows = pipeline.read_rows(pred_path, FORECAST_HEADER)
     truth = pipeline.load_costs(str(truth_path))
     y, y_hat = [], []
-    for row in pred_rows:
+    for _, row in pred_rows:
         pid = row["product_id"]
         if pid not in truth:
             continue

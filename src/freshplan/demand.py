@@ -53,10 +53,3 @@ def fit_demand(prices, volumes, product_id: str = "") -> DemandCurve:
         n_points=int(p.size),
         mean_volume=float(v.mean()),
     )
-
-
-def volume_at(curve: DemandCurve, price: float) -> float:
-    """Daily demand at a price, clamped at zero."""
-    if price <= 0.0:
-        raise InputError(f"price must be positive, got {price}")
-    return max(0.0, curve.intercept + curve.slope * price)

@@ -165,15 +165,6 @@ def evaluate(y, y_hat) -> MetricsReport:
 # -- evaluation helpers -------------------------------------------------------
 
 
-def holdout_split(samples: list[WindowSample], fraction: float = 0.2) -> tuple[list[WindowSample], list[WindowSample]]:
-    """Chronological split; the last `fraction` of windows is held out."""
-    if not samples:
-        raise InputError("empty samples")
-    cut = max(1, int(round(len(samples) * (1.0 - fraction))))
-    cut = min(cut, len(samples) - 1) if len(samples) > 1 else 1
-    return samples[:cut], samples[cut:]
-
-
 def holdout_mse(model: ForecasterModel, samples: list[WindowSample], space: str = "raw") -> float:
     """Mean squared error of the model over windows, in raw or normalized space."""
     if space not in ("raw", "normalized"):

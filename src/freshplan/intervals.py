@@ -70,6 +70,8 @@ class SalesInterval:
     lower: float
     upper: float
     level: float
+    # Per-replica daily predictions, [replicas, 7]; None when read back from CSV.
+    daily: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -84,7 +86,6 @@ class BootstrapEnsemble:
     models: list[ForecasterModel]
     slices: list[ReplicaSlice]
     input_days: int = INPUT_DAYS
-    daily: np.ndarray | None = field(default=None, repr=False)  # last prediction, [replicas, 7]
 
 
 # Reduced-capacity default base learner: interval quality rests on ensemble
@@ -154,7 +155,6 @@ def predict_interval(
     daily = np.stack([
         np.maximum(forecaster.predict(m, history, future_terms, ensemble.input_days), 0.0)
         for m in ensemble.models])
-    ensemble.daily = daily
     totals = daily.sum(axis=1)
     mean = float(totals.mean())
     std = float(totals.std())
@@ -165,4 +165,5 @@ def predict_interval(
         lower=max(0.0, mean - z * std),
         upper=mean + z * std,
         level=level,
+        daily=daily,
     )

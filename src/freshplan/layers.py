@@ -2,9 +2,14 @@
 
 Causal convolutions read only the present and past: tap r of the kernel
 multiplies the input delayed by r * dilation steps, with zero padding at the
-start of the sequence.  The attention fusion concatenates the feature rows of
-both branches, scores every row against the most recent cost feature with a raw
-dot product, softmax-normalizes the scores, and returns the weighted sum.
+start of the sequence.  The K delayed copies are stacked side by side on the
+channel axis (`autodiff.delay_stack`, an im2col on the time axis), so a conv is
+one matmul of that [B, T, K*C_in] stack against the kernel reshaped to
+[K*C_in, C_out], plus the bias: four graph nodes whatever K is.
+
+The attention fusion concatenates the feature rows of both branches, scores
+every row against the most recent cost feature with a raw dot product,
+softmax-normalizes the scores, and returns the weighted sum.
 
 All layers operate on graph tensors shaped [batch, time, channels]; the
 module-level `causal_conv` / `dilated_conv` / `attention_fuse` / `dense`
@@ -49,17 +54,11 @@ class ConvLayer:
         bias = Tensor(np.zeros(c_out), requires_grad=True)
         return cls(kernel, bias, dilation)
 
-    @property
-    def kernel_size(self) -> int:
-        return self.kernel.data.shape[0]
-
     def apply(self, x: Tensor) -> Tensor:
         """y[t] = sum_r x[t - r*d] @ kernel[r] + bias, zero-padded on the left."""
-        out = None
-        for r in range(self.kernel_size):
-            tap = ad.matmul(ad.shift_time(x, r * self.dilation), ad.take_index(self.kernel, r))
-            out = tap if out is None else ad.add(out, tap)
-        return ad.add(out, self.bias)
+        k, c_in, c_out = self.kernel.data.shape
+        stacked = ad.delay_stack(x, k, self.dilation)
+        return ad.add(ad.matmul(stacked, ad.reshape(self.kernel, (k * c_in, c_out))), self.bias)
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,15 +116,44 @@ def make_windows(
 # -- CSV ingestion -----------------------------------------------------------
 
 
-def _read_rows(path: str, header: list[str]) -> list[dict[str, str]]:
+def read_rows(path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
+    """Each row of a CSV file with the file line it ends on; the header must
+    equal `header` exactly."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != header:
                 raise InputError(f"{path}: expected header {','.join(header)}, got {reader.fieldnames}")
-            return list(reader)
+            return [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_series(path: str, header: list[str]) -> dict[str, dict[str, list[tuple[dt.date, float]]]]:
+    """(date, value) pairs per value column and product of a `date,product_id,...` file.
+
+    Every value must be a finite number >= 0 and each (date, product_id) may
+    appear only once; anything else is an InputError naming the file and line.
+    """
+    columns = header[2:]
+    records: dict[str, dict[str, list[tuple[dt.date, float]]]] = {col: {} for col in columns}
+    first_line: dict[tuple[dt.date, str], int] = {}
+    for line, row in read_rows(path, header):
+        where, pid = f"{path}:{line}", row["product_id"]
+        try:
+            day = dt.date.fromisoformat(row["date"])
+            values = [float(row[col]) for col in columns]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{where}: malformed row: {exc}") from exc
+        if (day, pid) in first_line:
+            raise InputError(f"{where}: duplicate row for {pid} on {day} "
+                             f"(first at line {first_line[day, pid]})")
+        first_line[day, pid] = line
+        for col, value in zip(columns, values):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InputError(f"{where}: {col} must be a finite number >= 0, got {row[col]!r}")
+            records[col].setdefault(pid, []).append((day, value))
+    return records
 
 
 def _frames_from_records(records: dict[str, list[tuple[dt.date, float]]]) -> dict[str, SeriesFrame]:
@@ -150,22 +180,13 @@ def _frames_from_records(records: dict[str, list[tuple[dt.date, float]]]) -> dic
 
 def load_costs(path: str) -> dict[str, SeriesFrame]:
     """Read costs.csv into per-product frames keyed by product id."""
-    records: dict[str, list[tuple[dt.date, float]]] = {}
-    for row in _read_rows(path, COSTS_HEADER):
-        records.setdefault(row["product_id"], []).append(
-            (dt.date.fromisoformat(row["date"]), float(row["wholesale_cost"])))
-    return _frames_from_records(records)
+    return _frames_from_records(_read_series(path, COSTS_HEADER)["wholesale_cost"])
 
 
 def load_sales(path: str) -> tuple[dict[str, SeriesFrame], dict[str, SeriesFrame]]:
     """Read sales.csv into (quantity frames, unit-price frames)."""
-    qty: dict[str, list[tuple[dt.date, float]]] = {}
-    price: dict[str, list[tuple[dt.date, float]]] = {}
-    for row in _read_rows(path, SALES_HEADER):
-        day = dt.date.fromisoformat(row["date"])
-        qty.setdefault(row["product_id"], []).append((day, float(row["quantity_kg"])))
-        price.setdefault(row["product_id"], []).append((day, float(row["unit_price"])))
-    return _frames_from_records(qty), _frames_from_records(price)
+    records = _read_series(path, SALES_HEADER)
+    return _frames_from_records(records["quantity_kg"]), _frames_from_records(records["unit_price"])
 
 
 def write_costs(path: str, frames: dict[str, SeriesFrame]) -> None:

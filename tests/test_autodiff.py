@@ -13,9 +13,9 @@ def test_square_gradient():
 
 
 def test_softmax_cross_gradients_sum_to_zero():
-    logits = Tensor(np.array([0.7, -1.2]), requires_grad=True)
+    logits = Tensor(np.array([0.7, -1.2, 0.1]), requires_grad=True)
     alpha = ad.softmax_last(logits)
-    loss = ad.mean(-1.0 * ad.mul(Tensor(np.array([1.0, 0.0])), ad.log(alpha)))
+    loss = ad.mean(Tensor(np.array([1.5, -0.4, 2.0])) * alpha)
     ad.backward(loss)
     assert abs(logits.grad.sum()) < 1e-12
 
@@ -54,15 +54,16 @@ def test_matmul_batch_gradients_match_fd():
 
 def test_shift_concat_softmax_gradients_match_fd():
     rng = np.random.default_rng(1)
-    a = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    for taps, dilation in ((2, 2), (3, 3)):  # (3, 3) has delay 6 >= T = 5
+        a = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 4, 3 * taps)), requires_grad=True)
 
-    def loss_fn():
-        joined = ad.concat_time(ad.shift_time(a, 2), b)
-        alpha = ad.softmax_last(ad.reshape(ad.last_step(joined), (2, 3)))
-        return ad.mean(ad.relu(alpha) ** 2 + ad.mean(joined ** 2))
+        def loss_fn():
+            joined = ad.concat_time(ad.delay_stack(a, taps, dilation), b)
+            alpha = ad.softmax_last(ad.reshape(ad.last_step(joined), (2, 3 * taps)))
+            return ad.mean(ad.relu(alpha) ** 2 + ad.mean(joined ** 2))
 
-    assert ad.finite_difference_check(loss_fn, [a, b]) < 1e-6
+        assert ad.finite_difference_check(loss_fn, [a, b]) < 1e-6
 
 
 class TestAdam:
@@ -100,29 +101,8 @@ class TestAdam:
 
 
 class TestParamSet:
-    def test_save_load_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(2)
-        a = Tensor(rng.normal(size=(3, 4)) * 1e-7, requires_grad=True)
-        b = Tensor(np.array(np.pi), requires_grad=True)
-        params = ParamSet([("a", a), ("b", b)])
-        path = tmp_path / "params.txt"
-        params.save(str(path))
-        original_a, original_b = a.data.copy(), b.data.copy()
-        a.data = np.zeros_like(a.data)
-        b.data = np.asarray(0.0)
-        params.load(str(path))
-        assert np.array_equal(a.data, original_a)
-        assert np.array_equal(b.data, original_b)
-
     def test_duplicate_names_rejected(self):
         t = Tensor(1.0, requires_grad=True)
         with pytest.raises(InvariantError):
             ParamSet([("x", t), ("x", t)])
 
-    def test_load_rejects_missing_params(self, tmp_path):
-        t = Tensor(1.0, requires_grad=True)
-        u = Tensor(2.0, requires_grad=True)
-        path = tmp_path / "params.txt"
-        ParamSet([("t", t)]).save(str(path))
-        with pytest.raises(InvariantError):
-            ParamSet([("t", t), ("u", u)]).load(str(path))

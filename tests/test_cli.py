@@ -1,4 +1,6 @@
 import csv
+import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,7 @@ class TestStages:
         assert set(stages) == {"synth", "forecast", "intervals", "rank", "optimize"}
         assert stages["forecast"]["skipped"] == 0
         assert "random_search_profit" in stages["optimize"]
+        assert stages["optimize"]["skipped"] == []
         assert (out / "manifest.json").exists()
 
     def test_demand_csv_schema(self, full_run):
@@ -150,6 +153,28 @@ class TestForecastSkips:
         assert manifest.data["stages"]["forecast"]["skipped"] == 1
 
 
+class TestOptimizeSkips:
+    def test_nonpositive_forecast_cost_is_skipped(self, full_run, tmp_path):
+        cfg, src, _ = full_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        top = read_table(out / "ranking.csv")[0]["product_id"]
+        rows = read_table(out / "forecast.csv")
+        first = next(r for r in rows if r["product_id"] == top)
+        first["predicted_cost"] = "-1000000.0"  # one row drags the weekly mean below zero
+        with open(out / "forecast.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=cli.FORECAST_HEADER, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        manifest = RunManifest(cfg, out)
+        cli.cmd_optimize(cfg, out, manifest)
+        planned = [r["product_id"] for r in read_table(out / "plan.csv")]
+        assert top not in planned
+        assert len(planned) == cfg.topsis.top_k - 1
+        [entry] = manifest.data["stages"]["optimize"]["skipped"]
+        assert entry["product_id"] == top
+        assert "not positive" in entry["reason"]
+
 class TestIntervalLevels:
     def test_higher_level_never_narrower(self, tmp_path):
         out_lo, out_hi = tmp_path / "lo", tmp_path / "hi"
@@ -195,6 +220,70 @@ class TestRankScaling:
         base_order = [r["product_id"] for r in read_table(base / "ranking.csv")]
         scaled_order = [r["product_id"] for r in read_table(scaled / "ranking.csv")]
         assert base_order == scaled_order
+
+
+def exit_code(monkeypatch, argv: list[str]) -> int:
+    """Exit code of the `freshplan` entry point (cli.main over cli.run) for argv."""
+    monkeypatch.setattr(sys, "argv", ["freshplan", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    return exc.value.code
+
+
+COSTS_OK = ["2023-01-01,A,1.0", "2023-01-02,A,2.0", "2023-01-01,B,3.0"]
+SALES_OK = ["2023-01-01,A,10.0,2.0", "2023-01-02,A,12.0,2.5", "2023-01-01,B,8.0,4.0"]
+
+
+class TestBadInputRows:
+    """Malformed rows fail at load with exit 1 and a file:line message."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_costs_value_rejected(self, tmp_path, monkeypatch, caplog, value):
+        rows = [*COSTS_OK[:2], f"2023-01-01,B,{value}"]
+        (tmp_path / "costs.csv").write_text(
+            "date,product_id,wholesale_cost\n" + "\n".join(rows) + "\n")
+        assert exit_code(monkeypatch, ["--out", str(tmp_path), "forecast"]) == 1
+        assert "costs.csv:4: wholesale_cost must be a finite number >= 0" in caplog.text
+
+    @pytest.mark.parametrize("column,row", [
+        ("quantity_kg", "2023-01-01,B,nan,4.0"),
+        ("quantity_kg", "2023-01-01,B,-1.0,4.0"),
+        ("unit_price", "2023-01-01,B,8.0,inf"),
+        ("unit_price", "2023-01-01,B,8.0,-inf"),
+    ])
+    def test_sales_value_rejected(self, tmp_path, monkeypatch, caplog, column, row):
+        (tmp_path / "sales.csv").write_text(
+            "date,product_id,quantity_kg,unit_price\n" + "\n".join([*SALES_OK[:2], row]) + "\n")
+        assert exit_code(monkeypatch, ["--out", str(tmp_path), "intervals"]) == 1
+        assert f"sales.csv:4: {column} must be a finite number >= 0" in caplog.text
+
+    def test_duplicate_costs_row_rejected(self, tmp_path, monkeypatch, caplog):
+        (tmp_path / "costs.csv").write_text(
+            "date,product_id,wholesale_cost\n" + "\n".join([*COSTS_OK, "2023-01-02,A,2.5"]) + "\n")
+        assert exit_code(monkeypatch, ["--out", str(tmp_path), "forecast"]) == 1
+        assert "costs.csv:5: duplicate row for A on 2023-01-02 (first at line 3)" in caplog.text
+
+    def test_duplicate_sales_row_rejected(self, tmp_path, monkeypatch, caplog):
+        (tmp_path / "sales.csv").write_text(
+            "date,product_id,quantity_kg,unit_price\n"
+            + "\n".join([*SALES_OK, "2023-01-01,A,11.0,2.0"]) + "\n")
+        assert exit_code(monkeypatch, ["--out", str(tmp_path), "intervals"]) == 1
+        assert "sales.csv:5: duplicate row for A on 2023-01-01 (first at line 2)" in caplog.text
+
+    def test_unparseable_value_rejected(self, tmp_path, monkeypatch, caplog):
+        (tmp_path / "costs.csv").write_text(
+            "date,product_id,wholesale_cost\n" + "\n".join([*COSTS_OK, "2023-01-03,A,cheap"]) + "\n")
+        assert exit_code(monkeypatch, ["--out", str(tmp_path), "forecast"]) == 1
+        assert "costs.csv:5: malformed row" in caplog.text
+
+    def test_evaluate_header_mismatch_message(self, tmp_path, monkeypatch, caplog):
+        truth = tmp_path / "costs.csv"
+        truth.write_text("date,product_id,wholesale_cost\n" + "\n".join(COSTS_OK) + "\n")
+        pred = tmp_path / "forecast.csv"
+        pred.write_text("product,date,cost\nA,2023-01-01,2.0\n")
+        assert exit_code(monkeypatch, ["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 1
+        assert (f"{pred}: expected header product_id,date,predicted_cost, "
+                f"got ['product', 'date', 'cost']") in caplog.text
 
 
 class TestCommandLine:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from freshplan.demand import DemandCurve, fit_demand, volume_at
+from freshplan.demand import fit_demand
 from freshplan.errors import InputError
 
 
@@ -66,25 +65,3 @@ class TestFit:
         v = 10 - p + rng.normal(0, 0.2, 20)
         curve = fit_demand(p, v)
         assert curve.mean_volume == pytest.approx(curve.intercept + curve.slope * p.mean())
-
-
-class TestVolumeAt:
-    CURVE = DemandCurve("X", 12.0, -2.0, 1.0, 3, 6.0)
-
-    def test_on_the_line(self):
-        assert volume_at(self.CURVE, 3.0) == pytest.approx(6.0)
-
-    def test_clamped_at_zero(self):
-        assert volume_at(self.CURVE, 7.0) == 0.0
-
-    def test_flat_curve(self):
-        flat = DemandCurve("X", 4.0, 0.0, 0.0, 3, 4.0)
-        assert volume_at(flat, 123.0) == 4.0
-
-    def test_nonpositive_price_rejected(self):
-        with pytest.raises(InputError):
-            volume_at(self.CURVE, 0.0)
-
-    @given(st.floats(0.01, 100.0))
-    def test_never_negative(self, price):
-        assert volume_at(self.CURVE, price) >= 0.0

@@ -10,7 +10,6 @@ from freshplan.forecaster import (
     ForecasterModel,
     ModelConfig,
     evaluate,
-    holdout_split,
     predict,
     train,
 )
@@ -156,14 +155,6 @@ class TestEvaluate:
         assert a.rmse == pytest.approx(b.rmse, abs=1e-12)
 
 
-def test_holdout_split_chronological():
-    frame = toy_frame(60)
-    windows = make_windows(frame)
-    train_w, val_w = holdout_split(windows, 0.2)
-    assert len(train_w) + len(val_w) == len(windows)
-    assert train_w[-1].anchor_date < val_w[0].anchor_date
-
-
 def test_branch_width_mismatch_rejected():
     frame = toy_frame()
     normalizer = fit_normalizer(frame.values)
@@ -172,3 +163,15 @@ def test_branch_width_mismatch_rejected():
     bad_head.weights.data = np.zeros((3, 7))
     with pytest.raises(InputError):
         ForecasterModel(model.cost_branch, model.term_branch, bad_head, normalizer, "T")
+
+
+def test_loss_graph_size_does_not_depend_on_kernel_size():
+    def loss_nodes(kernel_size):
+        config = ModelConfig(channels=4, kernel_size=kernel_size, dilations=[1, 2])
+        model = ForecasterModel.create(Normalizer(0.0, 1.0), "G", 0, config)
+        history = ad.Tensor(np.zeros((8, 15, 1)))
+        terms = ad.Tensor(np.zeros((8, 7, forecaster.TERM_WIDTH)))
+        loss = ad.mean((model.forward(history, terms) - ad.Tensor(np.zeros((8, 7)))) ** 2)
+        return len(ad._topo_order(loss))
+
+    assert loss_nodes(3) == loss_nodes(5)
