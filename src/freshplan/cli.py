@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
+import functools
 import logging
 import sys
 from pathlib import Path
@@ -222,20 +223,23 @@ def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
 def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
                  baseline: str | None = None) -> None:
     started = manifest.start_stage("optimize")
+    forecast_path, intervals_path = out_dir / config.paths.forecast, out_dir / config.paths.intervals
     ranking_rows = pipeline.read_rows(out_dir / config.paths.ranking, RANKING_HEADER)
-    forecast_rows = pipeline.read_rows(out_dir / config.paths.forecast, FORECAST_HEADER)
-    interval_rows = pipeline.read_rows(out_dir / config.paths.intervals, INTERVALS_HEADER)
+    forecast_rows = pipeline.read_rows(forecast_path, FORECAST_HEADER)
+    interval_rows = pipeline.read_rows(intervals_path, INTERVALS_HEADER)
     qty_frames, price_frames = pipeline.load_sales(str(out_dir / config.paths.sales))
 
     unit_costs: dict[str, list[float]] = {}
-    for _, row in forecast_rows:
-        unit_costs.setdefault(row["product_id"], []).append(float(row["predicted_cost"]))
-    intervals_by_id = {
-        row["product_id"]: intervals_mod.SalesInterval(
-            product_id=row["product_id"], mean=float(row["mean"]), std=float(row["std"]),
-            lower=float(row["lower"]), upper=float(row["upper"]), level=float(row["level"]))
-        for _, row in interval_rows
-    }
+    for line, row in forecast_rows:  # a negative cost is skipped below, not rejected
+        unit_costs.setdefault(row["product_id"], []).append(
+            pipeline.read_number(forecast_path, line, row, "predicted_cost"))
+    intervals_by_id = {}
+    for line, row in interval_rows:
+        number = functools.partial(pipeline.read_number, intervals_path, line, row)
+        lower = number("lower", 0.0)
+        intervals_by_id[row["product_id"]] = intervals_mod.SalesInterval(
+            product_id=row["product_id"], mean=number("mean"), std=number("std"),
+            lower=lower, upper=number("upper", lower), level=number("level"))
 
     ranked_ids = [row["product_id"] for _, row in ranking_rows]
     selected = ranked_ids[:min(config.topsis.top_k, len(ranked_ids))]
@@ -312,7 +316,8 @@ def cmd_evaluate(pred_path: Path, truth_path: Path) -> forecaster.MetricsReport:
     pred_rows = pipeline.read_rows(pred_path, FORECAST_HEADER)
     truth = pipeline.load_costs(str(truth_path))
     y, y_hat = [], []
-    for _, row in pred_rows:
+    for line, row in pred_rows:
+        predicted = pipeline.read_number(pred_path, line, row, "predicted_cost")
         pid = row["product_id"]
         if pid not in truth:
             continue
@@ -320,7 +325,7 @@ def cmd_evaluate(pred_path: Path, truth_path: Path) -> forecaster.MetricsReport:
         day = dt.date.fromisoformat(row["date"])
         if frame.dates[0] <= day <= frame.dates[-1]:
             y.append(frame.values[(day - frame.dates[0]).days])
-            y_hat.append(float(row["predicted_cost"]))
+            y_hat.append(predicted)
     if not y:
         raise InputError("no overlapping (product_id, date) pairs between predictions and truth")
     report = forecaster.evaluate(y, y_hat)

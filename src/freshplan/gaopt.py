@@ -1,16 +1,20 @@
 """Genetic search over joint (price, allocation) decisions for selected products.
 
-A chromosome interleaves one price and one allocation per product.  Repair
-projects prices onto the band where the weekly demand implied by the fitted
-curve stays inside the bootstrap sales interval, and clamps allocations into
-the same interval.  Fitness is expected weekly profit with unsold allocation
-written off at wholesale cost.  Tournament selection, per-gene blend crossover,
-Gaussian mutation with a geometrically decaying step, and one-elite survivor
-selection drive the search.
+A chromosome interleaves one price and one allocation per product; a population
+is a [P, 2N] array of them, prices in the even columns.  Repair projects prices
+onto the band where the weekly demand implied by the fitted curve stays inside
+the bootstrap sales interval, and clamps allocations into the same interval.
+Fitness is expected weekly profit with unsold allocation written off at
+wholesale cost, for the whole population at once.  Per-product profits are
+summed left to right, because np.sum's pairwise order rounds differently from a
+loop over products and would change plans.  Tournament selection, per-gene
+blend crossover, Gaussian mutation with a geometrically decaying step, and
+one-elite survivor selection drive the search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +27,7 @@ EPSILON = 1e-6
 WEEK_DAYS = 7.0
 PRICE_CAP_MARKUP = 5.0  # price box upper bound, as a multiple of unit cost,
                         # for products whose demand curve is not downward-sloping
+RANDOM_SEARCH_BLOCK = 1024  # candidates drawn and scored at once by random_search
 
 
 @dataclass
@@ -33,24 +38,34 @@ class ProductContext:
     interval: SalesInterval
 
     def __post_init__(self):
-        if self.unit_cost <= 0.0:
-            raise InputError(f"{self.product_id}: unit cost must be positive")
-        if self.interval.lower < 0.0:
-            raise InputError(f"{self.product_id}: interval lower bound must be >= 0")
+        if not (math.isfinite(self.unit_cost) and self.unit_cost > 0.0):
+            raise InputError(f"{self.product_id}: unit cost must be positive, got {self.unit_cost}")
+        lower, upper = self.interval.lower, self.interval.upper
+        if not (0.0 <= lower <= upper and math.isfinite(upper)):  # NaN fails every comparison
+            raise InputError(f"{self.product_id}: interval bounds must be finite with "
+                             f"0 <= lower <= upper, got [{lower}, {upper}]")
 
 
-def weekly_demand(ctx: ProductContext, price: float) -> float:
-    """Weekly sales volume a price induces.
+def weekly_demand(contexts: list[ProductContext], prices: np.ndarray) -> np.ndarray:
+    """Weekly sales volume each of the [..., N] prices induces.
 
     Downward-sloping curves scale the daily fit to a week; flat or anomalous
     (non-negative slope) curves are treated as price-insensitive at the fitted
     mean volume, clamped into the sales interval.
     """
-    curve = ctx.demand
-    if curve.slope < 0.0:
-        return WEEK_DAYS * max(0.0, curve.intercept + curve.slope * price)
-    pinned = WEEK_DAYS * max(0.0, curve.mean_volume)
-    return float(np.clip(pinned, ctx.interval.lower, ctx.interval.upper))
+    intercept, slope, mean_volume, lower, upper = np.array(
+        [(ctx.demand.intercept, ctx.demand.slope, ctx.demand.mean_volume,
+          ctx.interval.lower, ctx.interval.upper) for ctx in contexts]).T
+    line = WEEK_DAYS * np.maximum(0.0, intercept + slope * prices)
+    pinned = np.clip(WEEK_DAYS * np.maximum(0.0, mean_volume), lower, upper)
+    return np.where(slope < 0.0, line, pinned)
+
+
+def _sold_and_profit(genes: np.ndarray, contexts: list[ProductContext]) -> tuple[np.ndarray, np.ndarray]:
+    """[..., N] expected sales and profit, price * min(alloc, demand) - cost * alloc."""
+    price, alloc = genes[..., 0::2], genes[..., 1::2]
+    sold = np.minimum(alloc, weekly_demand(contexts, price))
+    return sold, price * sold - np.array([ctx.unit_cost for ctx in contexts]) * alloc
 
 
 @dataclass
@@ -96,22 +111,18 @@ def repair(chromosome: np.ndarray, boxes: GeneBoxes) -> np.ndarray:
     return np.clip(np.asarray(chromosome, dtype=np.float64), boxes.low, boxes.high)
 
 
-def fitness(chromosome: np.ndarray, contexts: list[ProductContext],
-            boxes: GeneBoxes | None = None) -> float:
-    """Expected weekly profit: sum of price * min(alloc, demand) - cost * alloc."""
-    c = np.asarray(chromosome, dtype=np.float64)
-    if c.shape != (2 * len(contexts),):
-        raise InputError(f"chromosome length {c.shape} does not match {len(contexts)} products")
-    if boxes is not None and (np.any(c < boxes.low - 1e-9) or np.any(c > boxes.high + 1e-9)):
+def fitness(population: np.ndarray, contexts: list[ProductContext],
+            boxes: GeneBoxes | None = None) -> np.ndarray:
+    """Expected weekly profit of each row of a [P, 2N] population, as [P]."""
+    pop = np.asarray(population, dtype=np.float64)
+    if pop.ndim != 2 or pop.shape[1] != 2 * len(contexts):
+        raise InputError(f"population shape {pop.shape} does not match {len(contexts)} products")
+    if boxes is not None and (np.any(pop < boxes.low - 1e-9) or np.any(pop > boxes.high + 1e-9)):
         raise InvariantError("fitness called on an unrepaired chromosome")
-    if np.any(c[::2] <= 0.0) or np.any(c[1::2] <= 0.0):
+    if np.any(pop <= 0.0):
         raise InvariantError("prices and allocations must be positive")
-    total = 0.0
-    for i, ctx in enumerate(contexts):
-        price, alloc = c[2 * i], c[2 * i + 1]
-        sold = min(alloc, weekly_demand(ctx, price))
-        total += price * sold - ctx.unit_cost * alloc
-    return total
+    _, profit = _sold_and_profit(pop, contexts)
+    return np.add.accumulate(profit, axis=1)[:, -1]
 
 
 @dataclass
@@ -196,7 +207,7 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> Ga
     rng = np.random.default_rng(config.seed)
 
     pop = rng.uniform(boxes.low, boxes.high, size=(config.pop, boxes.low.size))
-    fits = np.array([fitness(ind, contexts, boxes) for ind in pop])
+    fits = fitness(pop, contexts, boxes)
     evaluations = config.pop
 
     best_idx = int(np.argmax(fits))
@@ -206,21 +217,15 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> Ga
     trace: list[GenerationStats] = []
     scale = 1.0
     for gen in range(config.gens):
-        children = np.empty_like(pop)
-        for i in range(0, config.pop, 2):
+        offspring: list[np.ndarray] = []
+        while len(offspring) < config.pop:
             pa = pop[_tournament_pick(fits, config.tournament, rng)]
             pb = pop[_tournament_pick(fits, config.tournament, rng)]
-            if rng.random() < config.crossover_rate:
-                ca, cb = crossover(pa, pb, rng)
-            else:
-                ca, cb = pa.copy(), pb.copy()
-            children[i] = ca
-            if i + 1 < config.pop:
-                children[i + 1] = cb
-        for i in range(config.pop):
-            children[i] = repair(
-                gaussian_mutate(children[i], boxes, config.mutation, rng, scale), boxes)
-        child_fits = np.array([fitness(ind, contexts, boxes) for ind in children])
+            crossed = rng.random() < config.crossover_rate
+            offspring.extend(crossover(pa, pb, rng) if crossed else (pa, pb))
+        children = repair([gaussian_mutate(child, boxes, config.mutation, rng, scale)
+                           for child in offspring[:config.pop]], boxes)
+        child_fits = fitness(children, contexts, boxes)
         evaluations += config.pop
 
         gen_best = int(np.argmax(child_fits))
@@ -244,32 +249,28 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> Ga
 
 
 def random_search(contexts: list[ProductContext], evaluations: int, seed: int = 0) -> tuple[np.ndarray, float]:
-    """Equal-budget baseline: best of `evaluations` uniform draws from the boxes."""
+    """Equal-budget baseline: best of `evaluations` uniform draws from the boxes,
+    drawn and scored RANDOM_SEARCH_BLOCK at a time (the same stream as one draw
+    per evaluation)."""
     if not contexts:
         raise InputError("no product contexts")
     boxes = gene_boxes(contexts)
     rng = np.random.default_rng(seed)
     best, best_fit = None, -np.inf
-    for _ in range(evaluations):
-        candidate = repair(rng.uniform(boxes.low, boxes.high, size=boxes.low.size), boxes)
-        f = fitness(candidate, contexts, boxes)
-        if f > best_fit:
-            best, best_fit = candidate, f
+    for start in range(0, evaluations, RANDOM_SEARCH_BLOCK):
+        size = (min(RANDOM_SEARCH_BLOCK, evaluations - start), boxes.low.size)
+        block = repair(rng.uniform(boxes.low, boxes.high, size=size), boxes)
+        fits = fitness(block, contexts, boxes)
+        i = int(np.argmax(fits))
+        if fits[i] > best_fit:
+            best, best_fit = block[i], fits[i]
     return best, float(best_fit)
 
 
 def decode_plan(chromosome: np.ndarray, contexts: list[ProductContext]) -> list[dict]:
     """Decode a chromosome into per-product plan rows."""
-    rows = []
-    for i, ctx in enumerate(contexts):
-        price = float(chromosome[2 * i])
-        alloc = float(chromosome[2 * i + 1])
-        sold = min(alloc, weekly_demand(ctx, price))
-        rows.append({
-            "product_id": ctx.product_id,
-            "price": price,
-            "allocation": alloc,
-            "expected_sales": sold,
-            "expected_profit": price * sold - ctx.unit_cost * alloc,
-        })
-    return rows
+    genes = np.asarray(chromosome, dtype=np.float64)
+    sold, profit = _sold_and_profit(genes, contexts)
+    return [{"product_id": ctx.product_id, "price": float(genes[2 * i]),
+             "allocation": float(genes[2 * i + 1]), "expected_sales": float(sold[i]),
+             "expected_profit": float(profit[i])} for i, ctx in enumerate(contexts)]

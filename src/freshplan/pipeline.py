@@ -129,6 +129,20 @@ def read_rows(path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def read_number(path, line: int, row: dict[str, str], column: str,
+                minimum: float = -math.inf) -> float:
+    """`row[column]` of a `read_rows` row as a finite float >= `minimum`;
+    anything else is an InputError naming the file and line."""
+    try:
+        value = float(row[column])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value >= minimum):
+        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
+        raise InputError(f"{path}:{line}: {column} must be a finite number{bound}, got {row[column]!r}")
+    return value
+
+
 def _read_series(path: str, header: list[str]) -> dict[str, dict[str, list[tuple[dt.date, float]]]]:
     """(date, value) pairs per value column and product of a `date,product_id,...` file.
 

@@ -74,3 +74,23 @@ def single_product_grid_optimum(cost=2.0, intercept_weekly=10.0, slope_weekly=-1
     profit = p * np.minimum(a, demand) - cost * a
     i = np.unravel_index(np.argmax(profit), profit.shape)
     return float(prices[i[0]]), float(allocs[i[1]]), float(profit[i])
+
+
+def plan_profit_reference(chromosome, contexts) -> float:
+    """Expected weekly profit of one interleaved [price, alloc, ...] chromosome,
+    one product at a time, summed left to right.
+
+    Weekly demand is 7 * max(0, intercept + slope * price) for a downward-sloping
+    curve, and otherwise 7 * max(0, mean volume) clamped into the sales interval.
+    """
+    total = 0.0
+    for i, ctx in enumerate(contexts):
+        price, alloc = float(chromosome[2 * i]), float(chromosome[2 * i + 1])
+        curve, interval = ctx.demand, ctx.interval
+        if curve.slope < 0.0:
+            demand = 7.0 * max(0.0, curve.intercept + curve.slope * price)
+        else:
+            demand = min(max(7.0 * max(0.0, curve.mean_volume), interval.lower), interval.upper)
+        sold = min(alloc, demand)
+        total += price * sold - ctx.unit_cost * alloc
+    return total

@@ -276,6 +276,32 @@ class TestBadInputRows:
         assert exit_code(monkeypatch, ["--out", str(tmp_path), "forecast"]) == 1
         assert "costs.csv:5: malformed row" in caplog.text
 
+    @pytest.mark.parametrize("artifact,column,value,message", [
+        ("forecast.csv", "predicted_cost", "abc", "predicted_cost must be a finite number, got 'abc'"),
+        ("intervals.csv", "lower", "nan", "lower must be a finite number >= 0, got 'nan'"),
+        ("intervals.csv", "lower", "1e9", "upper must be a finite number >= 1e+09"),  # lower > upper
+    ])
+    def test_optimize_artifact_value_rejected(self, full_run, tmp_path, monkeypatch, caplog,
+                                              artifact, column, value, message):
+        out = tmp_path / "run"
+        shutil.copytree(full_run[1], out)
+        rows = read_table(out / artifact)
+        rows[1][column] = value
+        with open(out / artifact, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert exit_code(monkeypatch, ["--out", str(out), "optimize"]) == 1
+        assert f"{artifact}:3: {message}" in caplog.text
+
+    def test_evaluate_bad_prediction_rejected(self, tmp_path, monkeypatch, caplog):
+        truth = tmp_path / "costs.csv"
+        truth.write_text("date,product_id,wholesale_cost\n" + "\n".join(COSTS_OK) + "\n")
+        pred = tmp_path / "forecast.csv"
+        pred.write_text("product_id,date,predicted_cost\nA,2023-01-01,2.0\nA,2023-01-02,inf\n")
+        assert exit_code(monkeypatch, ["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 1
+        assert "forecast.csv:3: predicted_cost must be a finite number, got 'inf'" in caplog.text
+
     def test_evaluate_header_mismatch_message(self, tmp_path, monkeypatch, caplog):
         truth = tmp_path / "costs.csv"
         truth.write_text("date,product_id,wholesale_cost\n" + "\n".join(COSTS_OK) + "\n")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import plan_profit_reference
+from test_acceptance import _instance_32
 
 from freshplan import gaopt
 from freshplan.demand import DemandCurve
@@ -35,54 +38,94 @@ def grid_optimum():
     return float(profit.max())
 
 
+def chromosomes(*rows) -> np.ndarray:
+    return np.array(rows, dtype=np.float64)
+
+
 class TestFitness:
     def test_analytic_point(self):
         ctx = analytic_context()
-        assert fitness(np.array([6.0, 4.0]), ctx) == pytest.approx(16.0)
+        assert fitness(chromosomes([6.0, 4.0]), ctx)[0] == pytest.approx(16.0)
+        assert plan_profit_reference([6.0, 4.0], ctx) == pytest.approx(16.0)
 
     def test_alloc_equal_to_sales_gives_margin_times_alloc(self):
         ctx = analytic_context()
         price = 5.0
-        demand = weekly_demand(ctx[0], price)
-        got = fitness(np.array([price, demand]), ctx)
+        demand = weekly_demand(ctx, np.array([price]))[0]
+        got = fitness(chromosomes([price, demand]), ctx)[0]
         assert got == pytest.approx((price - 2.0) * demand)
 
     def test_price_below_cost_is_negative(self):
         ctx = analytic_context()
-        assert fitness(np.array([1.0, 3.0]), ctx) < 0.0
+        assert fitness(chromosomes([1.0, 3.0]), ctx)[0] < 0.0
+
+    def test_one_profit_per_row(self):
+        ctx = analytic_context()
+        got = fitness(chromosomes([6.0, 4.0], [1.0, 3.0], [5.0, 5.0]), ctx)
+        assert got.shape == (3,)
+        assert got.tolist() == [plan_profit_reference(row, ctx)
+                                for row in ([6.0, 4.0], [1.0, 3.0], [5.0, 5.0])]
+
+    def test_wrong_shape_rejected(self):
+        ctx = analytic_context()
+        with pytest.raises(InputError):
+            fitness(np.array([6.0, 4.0]), ctx)
+        with pytest.raises(InputError):
+            fitness(chromosomes([6.0, 4.0, 1.0, 1.0]), ctx)
 
     def test_unrepaired_chromosome_rejected(self):
         ctx = analytic_context()
         boxes = gene_boxes(ctx)
         with pytest.raises(InvariantError):
-            fitness(np.array([50.0, 4.0]), ctx, boxes)
+            fitness(chromosomes([6.0, 4.0], [50.0, 4.0]), ctx, boxes)
 
     def test_nonpositive_genes_rejected(self):
         ctx = analytic_context()
         with pytest.raises(InvariantError):
-            fitness(np.array([-1.0, 4.0]), ctx)
+            fitness(chromosomes([6.0, 4.0], [-1.0, 4.0]), ctx)
 
 
 class TestWeeklyDemand:
     def test_downward_sloping(self):
-        ctx = analytic_context()[0]
-        assert weekly_demand(ctx, 3.0) == pytest.approx(7.0)
-        assert weekly_demand(ctx, 10.0) == pytest.approx(0.0, abs=1e-12)
-        assert weekly_demand(ctx, 20.0) == 0.0
+        ctx = analytic_context()
+        got = weekly_demand(ctx, np.array([[3.0], [10.0], [20.0]]))
+        assert got[0, 0] == pytest.approx(7.0)
+        assert got[1, 0] == pytest.approx(0.0, abs=1e-12)
+        assert got[2, 0] == 0.0
 
     def test_flat_curve_pinned_into_interval(self):
         curve = DemandCurve("F", 4.0, 0.0, 0.0, 10, 4.0)
         interval = SalesInterval("F", 20.0, 2.0, 10.0, 20.0, 0.95)
-        ctx = ProductContext("F", 1.0, curve, interval)
+        ctx = [ProductContext("F", 1.0, curve, interval)]
         # 7 * 4 = 28 clamps to the interval upper bound
-        assert weekly_demand(ctx, 9.0) == 20.0
-        assert weekly_demand(ctx, 1.0) == 20.0
+        assert weekly_demand(ctx, np.array([[9.0], [1.0]])).tolist() == [[20.0], [20.0]]
 
     def test_anomalous_curve_is_price_insensitive(self):
         curve = DemandCurve("A", -5.0, 2.0, 0.3, 10, 30.0)
         interval = SalesInterval("A", 200.0, 10.0, 150.0, 260.0, 0.95)
-        ctx = ProductContext("A", 1.0, curve, interval)
-        assert weekly_demand(ctx, 2.0) == weekly_demand(ctx, 50.0) == 7.0 * 30.0
+        ctx = [ProductContext("A", 1.0, curve, interval)]
+        assert weekly_demand(ctx, np.array([[2.0], [50.0]])).tolist() == [[7.0 * 30.0]] * 2
+
+    def test_each_column_follows_its_own_curve(self):
+        flat = ProductContext("F", 1.0, DemandCurve("F", 4.0, 0.0, 0.0, 10, 4.0),
+                              SalesInterval("F", 20.0, 2.0, 10.0, 20.0, 0.95))
+        ctx = [*analytic_context(), flat]
+        assert weekly_demand(ctx, np.array([3.0, 3.0])).tolist() == pytest.approx([7.0, 20.0])
+
+
+class TestContext:
+    @pytest.mark.parametrize("lower,upper", [(np.nan, 5.0), (1.0, np.nan), (-1.0, 5.0),
+                                             (6.0, 5.0), (1.0, np.inf)])
+    def test_bad_interval_rejected(self, lower, upper):
+        curve = DemandCurve("X", 10.0, -1.0, 1.0, 10, 5.0)
+        with pytest.raises(InputError, match="interval bounds"):
+            ProductContext("X", 2.0, curve, SalesInterval("X", 5.0, 1.0, lower, upper, 0.95))
+
+    @pytest.mark.parametrize("cost", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_unit_cost_rejected(self, cost):
+        curve = DemandCurve("X", 10.0, -1.0, 1.0, 10, 5.0)
+        with pytest.raises(InputError, match="unit cost"):
+            ProductContext("X", cost, curve, SalesInterval("X", 5.0, 1.0, 1.0, 5.0, 0.95))
 
 
 class TestRepair:
@@ -105,7 +148,7 @@ class TestRepair:
         ctx = analytic_context(lower=2.0, upper=6.0)
         boxes = gene_boxes(ctx)
         fixed = repair(np.array([1.0, 4.0]), boxes)  # demand(1) = 9 > upper 6
-        assert abs(weekly_demand(ctx[0], fixed[0]) - 6.0) < 1e-9
+        assert abs(weekly_demand(ctx, fixed[::2])[0] - 6.0) < 1e-9
 
     def test_negative_alloc_clamped_to_lower(self):
         ctx = analytic_context(lower=2.0, upper=6.0)
@@ -218,12 +261,62 @@ def test_random_search_budget_and_feasibility():
     best, best_fit = gaopt.random_search(ctx, 500, seed=9)
     boxes = gene_boxes(ctx)
     assert np.all(best >= boxes.low) and np.all(best <= boxes.high)
-    assert best_fit == fitness(best, ctx, boxes)
+    assert best_fit == fitness(best[None], ctx, boxes)[0] == plan_profit_reference(best, ctx)
 
 
 def test_decode_plan_matches_fitness():
     ctx = analytic_context()
     chromosome = np.array([6.0, 4.0])
     rows = gaopt.decode_plan(chromosome, ctx)
-    assert rows[0]["expected_profit"] == pytest.approx(fitness(chromosome, ctx))
+    assert rows[0]["expected_profit"] == pytest.approx(fitness(chromosome[None], ctx)[0])
+    assert rows[0]["expected_profit"] == pytest.approx(plan_profit_reference(chromosome, ctx))
     assert rows[0]["expected_sales"] == pytest.approx(4.0)
+
+
+# (kind, intercept, |slope|, mean daily volume, unit cost, interval lower, interval width)
+PRODUCTS = st.tuples(
+    st.sampled_from(["sloped", "flat", "anomalous"]),
+    st.floats(0.5, 200.0), st.floats(0.01, 10.0), st.floats(-5.0, 100.0),
+    st.floats(0.1, 20.0), st.floats(0.0, 500.0), st.floats(0.0, 500.0))
+
+
+def contexts_of(products) -> list[ProductContext]:
+    contexts = []
+    for i, (kind, intercept, steepness, mean_volume, cost, lower, width) in enumerate(products):
+        slope = {"sloped": -steepness, "flat": 0.0, "anomalous": steepness}[kind]
+        curve = DemandCurve(f"P{i}", intercept, slope, 0.5, 10, mean_volume)
+        interval = SalesInterval(f"P{i}", lower + width / 2, 1.0, lower, lower + width, 0.95)
+        contexts.append(ProductContext(f"P{i}", cost, curve, interval))
+    return contexts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PRODUCTS, min_size=1, max_size=6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_batched_evaluator_matches_row_by_row_reference(products, pop_size, seed):
+    ctx = contexts_of(products)
+    boxes = gene_boxes(ctx)
+    raw = np.random.default_rng(seed).uniform(
+        boxes.low - boxes.width, boxes.high + boxes.width, size=(pop_size, boxes.low.size))
+    pop = repair(raw, boxes)
+    assert np.array_equal(pop, np.array([repair(row, boxes) for row in raw]))
+    assert np.array_equal(repair(pop, boxes), pop)
+    assert fitness(pop, ctx, boxes).tolist() == [plan_profit_reference(row, ctx) for row in pop]
+
+
+def test_draw_order_does_not_depend_on_batching(monkeypatch):
+    """The GA and random search draw the same numbers whether the population is
+    scored at once or one row at a time through the reference."""
+    contexts = _instance_32()
+
+    def run():
+        result = evolve(contexts, GaConfig(pop=31, gens=40, seed=3))
+        best, best_fit = gaopt.random_search(contexts, result.evaluations, seed=5003)
+        trace = [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in result.trace]
+        return result.best.tobytes(), result.best_fitness, trace, result.evaluations, \
+            best.tobytes(), best_fit
+
+    batched = run()
+    monkeypatch.setattr(gaopt, "fitness", lambda pop, contexts, boxes=None: np.array(
+        [plan_profit_reference(row, contexts) for row in pop]))
+    assert run() == batched
+    assert batched[3] > gaopt.RANDOM_SEARCH_BLOCK  # random search spans more than one block

@@ -1,4 +1,6 @@
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from freshplan.pipeline import (
     write_costs,
     write_sales,
 )
+
+
+MICRO_UNITS = st.integers(0, 10**12).map(lambda k: k / 1e6)  # exact at the writers' 6 decimals
 
 
 def frame_of(values, start=dt.date(2023, 1, 1), pid="P"):
@@ -137,6 +142,26 @@ class TestCsvRoundtrip:
         for pid in sales:
             assert np.array_equal(qty[pid].values, sales[pid].values)
             assert np.array_equal(price[pid].values, prices[pid].values)
+
+    @given(st.dictionaries(
+        st.text("ABCxyz019", min_size=1, max_size=4),
+        st.tuples(st.dates(dt.date(2000, 1, 1), dt.date(2099, 1, 1)),
+                  st.lists(st.tuples(MICRO_UNITS, MICRO_UNITS), min_size=1, max_size=12)),
+        min_size=1, max_size=4))
+    def test_write_load_roundtrip_property(self, series):
+        """Finite non-negative values on 6 decimals survive write -> load exactly."""
+        qty = {pid: frame_of([q for q, _ in rows], start, pid) for pid, (start, rows) in series.items()}
+        price = {pid: frame_of([p for _, p in rows], start, pid) for pid, (start, rows) in series.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            write_costs(str(Path(tmp) / "costs.csv"), qty)
+            write_sales(str(Path(tmp) / "sales.csv"), qty, price)
+            costs = load_costs(str(Path(tmp) / "costs.csv"))
+            loaded_qty, loaded_price = load_sales(str(Path(tmp) / "sales.csv"))
+        for written, loaded in ((qty, costs), (qty, loaded_qty), (price, loaded_price)):
+            assert sorted(loaded) == sorted(written)
+            for pid, frame in written.items():
+                assert loaded[pid].dates == frame.dates
+                assert np.array_equal(loaded[pid].values, frame.values)
 
     def test_interior_gap_forward_filled(self, tmp_path):
         path = tmp_path / "costs.csv"
