@@ -5,10 +5,10 @@ gradient slot, references to its operand nodes, and a closure that applies the
 local derivative during the backward sweep.  Scalars are tensors of shape ();
 `backward` may only be started from one of those.  The op set is exactly what
 the forecasting model needs rather than a general broadcasting engine:
-elementwise `add`, `sub`, `mul`, `pow_const` and `relu`; `matmul` with stacked
-batch dimensions and `reshape`; `delay_stack` (the K delayed copies a causal
-convolution reads, side by side on the channel axis), `concat_time` and
-`last_step` on the time axis; `mean` and `softmax_last`.  `Adam` updates the
+elementwise `add`, `sub`, `mul` and `pow_const`, `matmul` with stacked batch
+dimensions, and `mean`.  They build the dense head and the loss; the residual
+blocks and the attention fusion are single nodes with their own backward
+(`layers.py`), made with the same `Tensor` constructor.  `Adam` updates the
 parameters of a `ParamSet`.
 
 Gradient correctness is validated against central finite differences in the
@@ -141,16 +141,6 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backprop)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-    out_data = np.where(mask, a.data, 0.0)
-
-    def backprop(g: np.ndarray) -> None:
-        a.accumulate(g * mask)
-
-    return Tensor(out_data, _parents=(a,), _backward=backprop)
-
-
 # -- linear algebra -------------------------------------------------------
 
 
@@ -167,69 +157,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _backward=backprop)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out_data = a.data.reshape(shape)
-
-    def backprop(g: np.ndarray) -> None:
-        a.accumulate(g.reshape(a.data.shape))
-
-    return Tensor(out_data, _parents=(a,), _backward=backprop)
-
-
-# -- time-axis ops for causal convolution (arrays are [..., T, C]) --------
-
-
-def delay_stack(a: Tensor, taps: int, dilation: int) -> Tensor:
-    """Stack `taps` delayed copies of [..., T, C] on the channel axis.
-
-    Channels r*C .. (r+1)*C - 1 of the [..., T, taps*C] result hold `a` delayed
-    by r * dilation steps, zero-filled at the start; a delay of T or more gives
-    an all-zero block.
-    """
-    if taps < 1 or dilation < 1:
-        raise InvariantError(f"delay_stack needs taps >= 1 and dilation >= 1, "
-                             f"got {taps} and {dilation}")
-    t, c = a.data.shape[-2:]
-    # (tap, delay) pairs that reach into the sequence; the rest stay zero.
-    live = [(r, r * dilation) for r in range(taps) if r * dilation < t]
-    out_data = np.zeros(a.data.shape[:-1] + (taps * c,))
-    for r, s in live:
-        out_data[..., s:, r * c:(r + 1) * c] = a.data[..., :t - s, :]
-
-    def backprop(g: np.ndarray) -> None:
-        ga = np.zeros_like(a.data)
-        for r, s in live:
-            ga[..., :t - s, :] += g[..., s:, r * c:(r + 1) * c]
-        a.accumulate(ga)
-
-    return Tensor(out_data, _parents=(a,), _backward=backprop)
-
-
-def concat_time(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the time axis (second from last)."""
-    out_data = np.concatenate([a.data, b.data], axis=-2)
-    t_a = a.data.shape[-2]
-
-    def backprop(g: np.ndarray) -> None:
-        a.accumulate(g[..., :t_a, :])
-        b.accumulate(g[..., t_a:, :])
-
-    return Tensor(out_data, _parents=(a, b), _backward=backprop)
-
-
-def last_step(a: Tensor) -> Tensor:
-    """Select the final time step: [..., T, C] -> [..., C]."""
-    out_data = a.data[..., -1, :]
-
-    def backprop(g: np.ndarray) -> None:
-        ga = np.zeros_like(a.data)
-        ga[..., -1, :] = g
-        a.accumulate(ga)
-
-    return Tensor(out_data, _parents=(a,), _backward=backprop)
-
-
-# -- reductions and softmax ------------------------------------------------
+# -- reductions ------------------------------------------------------------
 
 
 def mean(a: Tensor) -> Tensor:
@@ -238,19 +166,6 @@ def mean(a: Tensor) -> Tensor:
 
     def backprop(g: np.ndarray) -> None:
         a.accumulate(np.full_like(a.data, float(g) / n))
-
-    return Tensor(out_data, _parents=(a,), _backward=backprop)
-
-
-def softmax_last(a: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max-subtraction for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def backprop(g: np.ndarray) -> None:
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        a.accumulate(out_data * (g - dot))
 
     return Tensor(out_data, _parents=(a,), _backward=backprop)
 

@@ -48,7 +48,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _boundary_table(config: RunConfig) -> TermBoundaryTable:
     if config.paths.boundaries:
-        return TermBoundaryTable.from_csv(config.paths.boundaries)
+        return pipeline.load_boundaries(config.paths.boundaries)
     return TermBoundaryTable()
 
 
@@ -230,15 +230,21 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
     qty_frames, price_frames = pipeline.load_sales(str(out_dir / config.paths.sales))
 
     unit_costs: dict[str, list[float]] = {}
+    forecast_lines: dict[tuple[str, dt.date], int] = {}
     for line, row in forecast_rows:  # a negative cost is skipped below, not rejected
-        unit_costs.setdefault(row["product_id"], []).append(
+        pid, day = row["product_id"], pipeline.read_date(forecast_path, line, row)
+        pipeline.check_first(forecast_lines, (pid, day), forecast_path, line, f"{pid} on {day}")
+        unit_costs.setdefault(pid, []).append(
             pipeline.read_number(forecast_path, line, row, "predicted_cost"))
-    intervals_by_id = {}
+    intervals_by_id: dict[str, intervals_mod.SalesInterval] = {}
+    interval_lines: dict[str, int] = {}
     for line, row in interval_rows:
+        pid = row["product_id"]
+        pipeline.check_first(interval_lines, pid, intervals_path, line, pid)
         number = functools.partial(pipeline.read_number, intervals_path, line, row)
         lower = number("lower", 0.0)
-        intervals_by_id[row["product_id"]] = intervals_mod.SalesInterval(
-            product_id=row["product_id"], mean=number("mean"), std=number("std"),
+        intervals_by_id[pid] = intervals_mod.SalesInterval(
+            product_id=pid, mean=number("mean"), std=number("std"),
             lower=lower, upper=number("upper", lower), level=number("level"))
 
     ranked_ids = [row["product_id"] for _, row in ranking_rows]
@@ -318,11 +324,10 @@ def cmd_evaluate(pred_path: Path, truth_path: Path) -> forecaster.MetricsReport:
     y, y_hat = [], []
     for line, row in pred_rows:
         predicted = pipeline.read_number(pred_path, line, row, "predicted_cost")
-        pid = row["product_id"]
+        pid, day = row["product_id"], pipeline.read_date(pred_path, line, row)
         if pid not in truth:
             continue
         frame = truth[pid]
-        day = dt.date.fromisoformat(row["date"])
         if frame.dates[0] <= day <= frame.dates[-1]:
             y.append(frame.values[(day - frame.dates[0]).days])
             y_hat.append(predicted)

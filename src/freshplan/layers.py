@@ -2,18 +2,25 @@
 
 Causal convolutions read only the present and past: tap r of the kernel
 multiplies the input delayed by r * dilation steps, with zero padding at the
-start of the sequence.  The K delayed copies are stacked side by side on the
-channel axis (`autodiff.delay_stack`, an im2col on the time axis), so a conv is
-one matmul of that [B, T, K*C_in] stack against the kernel reshaped to
-[K*C_in, C_out], plus the bias: four graph nodes whatever K is.
+start of the sequence.  `conv_forward` stacks the K delayed copies side by side
+on the channel axis (an im2col on the time axis) and does one matmul of that
+[B, T, K*C_in] stack against the kernel reshaped to [K*C_in, C_out], plus the
+bias.
 
-The attention fusion concatenates the feature rows of both branches, scores
-every row against the most recent cost feature with a raw dot product,
-softmax-normalizes the scores, and returns the weighted sum.
+The attention fusion (`attention_forward`) concatenates the feature rows of
+both branches, scores every row against the most recent cost feature with a
+raw dot product, softmax-normalizes the scores, and returns the weighted sum.
 
-All layers operate on graph tensors shaped [batch, time, channels]; the
-module-level `causal_conv` / `dilated_conv` / `attention_fuse` / `dense`
-functions are plain-array wrappers over the same graph code for single inputs.
+On the graph, which is shaped [batch, time, channels], each residual block
+(conv, bias, ReLU and the identity or projection skip) is one `Tensor` node and
+the attention fusion is another, each with a hand-written backward.  The
+plain-array wrappers `causal_conv` / `dilated_conv` / `attention_fuse` call the
+same two forward helpers, so they compute exactly what training runs.  The
+backward passes keep the numpy expressions of the op-by-op chain rule (the
+batched matmuls summed over the batch afterwards, the max-shifted softmax, the
+[B, L, 1] and [B, 1, L] products), and every gradient slot receives at most two
+terms.  IEEE addition of two terms does not depend on their order, so the fused
+nodes give the same bits as the same model written with elementary ops.
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ class ConvLayer:
     dilation: int = 1
 
     def __post_init__(self):
-        if self.kernel.data.ndim != 3:
-            raise InputError("kernel must have shape [K, C_in, C_out]")
+        if self.kernel.data.ndim != 3 or self.kernel.data.shape[0] < 1:
+            raise InputError("kernel must have shape [K, C_in, C_out] with K >= 1")
         if self.dilation < 1:
             raise InputError(f"dilation must be >= 1, got {self.dilation}")
 
@@ -54,11 +61,26 @@ class ConvLayer:
         bias = Tensor(np.zeros(c_out), requires_grad=True)
         return cls(kernel, bias, dilation)
 
-    def apply(self, x: Tensor) -> Tensor:
-        """y[t] = sum_r x[t - r*d] @ kernel[r] + bias, zero-padded on the left."""
-        k, c_in, c_out = self.kernel.data.shape
-        stacked = ad.delay_stack(x, k, self.dilation)
-        return ad.add(ad.matmul(stacked, ad.reshape(self.kernel, (k * c_in, c_out))), self.bias)
+
+def _live_taps(taps: int, dilation: int, t: int) -> list[tuple[int, int]]:
+    """(tap, delay) pairs that reach into a length-t sequence; the rest read
+    only the zero padding."""
+    return [(r, r * dilation) for r in range(taps) if r * dilation < t]
+
+
+def conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
+                 dilation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Causal conv of [..., T, C_in]: the [..., T, K*C_in] tap stack and
+    y[t] = sum_r x[t - r*d] @ kernel[r] + bias, zero-padded on the left.
+
+    Channels r*C_in .. (r+1)*C_in - 1 of the stack hold x delayed by r*d steps.
+    """
+    k, c_in, c_out = kernel.shape
+    t = x.shape[-2]
+    stacked = np.zeros(x.shape[:-1] + (k * c_in,))
+    for r, s in _live_taps(k, dilation, t):
+        stacked[..., s:, r * c_in:(r + 1) * c_in] = x[..., :t - s, :]
+    return stacked, stacked @ kernel.reshape(k * c_in, c_out) + bias
 
 
 @dataclass
@@ -95,9 +117,31 @@ class ResidualBlock:
         return cls(conv, projection)
 
     def apply(self, x: Tensor) -> Tensor:
-        h = ad.relu(self.conv.apply(x))
-        skip = x if self.projection is None else ad.matmul(x, self.projection)
-        return ad.add(h, skip)
+        """relu(conv(x)) + skip(x) on [B, T, C_in] as one graph node."""
+        kernel, bias, projection = self.conv.kernel, self.conv.bias, self.projection
+        k, c_in, c_out = kernel.data.shape
+        t = x.data.shape[-2]
+        stacked, pre = conv_forward(x.data, kernel.data, bias.data, self.conv.dilation)
+        mask = pre > 0.0
+        skip = x.data if projection is None else x.data @ projection.data
+
+        def backprop(g: np.ndarray) -> None:
+            g_pre = g * mask
+            bias.accumulate(g_pre.sum(axis=0).sum(axis=0))
+            kernel.accumulate((np.swapaxes(stacked, -1, -2) @ g_pre).sum(axis=0)
+                              .reshape(kernel.data.shape))
+            g_stacked = g_pre @ kernel.data.reshape(k * c_in, c_out).T
+            g_x = np.zeros_like(x.data)
+            for r, s in _live_taps(k, self.conv.dilation, t):
+                g_x[..., :t - s, :] += g_stacked[..., s:, r * c_in:(r + 1) * c_in]
+            if projection is None:
+                x.accumulate(g_x + g)
+            else:
+                projection.accumulate((np.swapaxes(x.data, -1, -2) @ g).sum(axis=0))
+                x.accumulate(g_x + g @ projection.data.T)
+
+        parents = (x, kernel, bias) if projection is None else (x, kernel, bias, projection)
+        return Tensor(np.where(mask, pre, 0.0) + skip, _parents=parents, _backward=backprop)
 
 
 @dataclass
@@ -135,20 +179,43 @@ class TcnBranch:
         return named
 
 
-def attention_fuse_graph(x1: Tensor, x2: Tensor) -> Tensor:
-    """Fuse two branches ([B, T1, F] and [B, T2, F]) into one [B, F] feature row.
+def attention_forward(x1: np.ndarray, x2: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Keys [B, L, F], query [B, F], weights [B, L] and fused rows [B, F] of
+    two branches [B, T1, F] and [B, T2, F].
 
     Keys are the concatenated rows of both branches, the query is the last row
     of the first branch, similarities are raw (unscaled) dot products, and the
     value rows equal the keys.
     """
-    keys = ad.concat_time(x1, x2)                      # [B, L, F]
-    query = ad.last_step(x1)                           # [B, F]
-    b, l = keys.data.shape[0], keys.data.shape[1]
-    sim = ad.matmul(keys, ad.reshape(query, (b, -1, 1)))   # [B, L, 1]
-    alpha = ad.softmax_last(ad.reshape(sim, (b, l)))       # [B, L]
-    fused = ad.matmul(ad.reshape(alpha, (b, 1, l)), keys)  # [B, 1, F]
-    return ad.reshape(fused, (b, keys.data.shape[2]))
+    keys = np.concatenate([x1, x2], axis=-2)
+    query = x1[..., -1, :]
+    b, l, f = keys.shape
+    sim = (keys @ query.reshape(b, -1, 1)).reshape(b, l)
+    e = np.exp(sim - sim.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    return keys, query, alpha, (alpha.reshape(b, 1, l) @ keys).reshape(b, f)
+
+
+def attention_fuse_graph(x1: Tensor, x2: Tensor) -> Tensor:
+    """Fuse two branches ([B, T1, F] and [B, T2, F]) into one [B, F] feature
+    row as one graph node."""
+    keys, query, alpha, fused = attention_forward(x1.data, x2.data)
+    b, l, f = keys.shape
+    t1 = x1.data.shape[-2]
+
+    def backprop(g: np.ndarray) -> None:
+        g_fused = g.reshape(b, 1, f)
+        keys_t = np.swapaxes(keys, -1, -2)
+        g_alpha = (g_fused @ keys_t).reshape(b, l)
+        g_sim = (alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))).reshape(b, l, 1)
+        g_keys = alpha.reshape(b, l, 1) @ g_fused + g_sim @ query.reshape(b, 1, f)
+        g_last = np.zeros_like(x1.data)
+        g_last[..., -1, :] = (keys_t @ g_sim).reshape(b, f)
+        x1.accumulate(g_keys[..., :t1, :] + g_last)
+        x2.accumulate(g_keys[..., t1:, :])
+
+    return Tensor(fused, _parents=(x1, x2), _backward=backprop)
 
 
 # -- plain-array entry points ------------------------------------------------
@@ -173,8 +240,8 @@ def causal_conv(x, layer: ConvLayer) -> np.ndarray:
 def dilated_conv(x, layer: ConvLayer) -> np.ndarray:
     """Dilated causal convolution of a [T, C_in] sequence to [T, C_out]."""
     arr = _as_time_matrix(x)
-    out = layer.apply(Tensor(arr[None, :, :]))
-    return out.data[0]
+    _, out = conv_forward(arr[None, :, :], layer.kernel.data, layer.bias.data, layer.dilation)
+    return out[0]
 
 
 def attention_fuse(x1, x2) -> np.ndarray:
@@ -184,8 +251,7 @@ def attention_fuse(x1, x2) -> np.ndarray:
         raise InputError("branches must share feature width")
     if a1.shape[0] < 1 or a2.shape[0] < 1:
         raise InputError("each branch needs at least one row")
-    out = attention_fuse_graph(Tensor(a1[None, :, :]), Tensor(a2[None, :, :]))
-    return out.data[0]
+    return attention_forward(a1[None, :, :], a2[None, :, :])[3][0]
 
 
 def dense(x, layer: DenseLayer) -> np.ndarray:

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .solarterms import TermBoundaryTable, encode_date_range, term_of_date
+from .solarterms import TERM_NAMES, TermBoundaryTable, encode_date_range, term_of_date
 
 INPUT_DAYS = 15
 HORIZON_DAYS = 7
 
 COSTS_HEADER = ["date", "product_id", "wholesale_cost"]
 SALES_HEADER = ["date", "product_id", "quantity_kg", "unit_price"]
+BOUNDARIES_HEADER = ["term_index", "month", "day"]
 
 
 @dataclass
@@ -143,6 +144,53 @@ def read_number(path, line: int, row: dict[str, str], column: str,
     return value
 
 
+def read_integer(path, line: int, row: dict[str, str], column: str) -> int:
+    """`row[column]` of a `read_rows` row as an int, or an InputError naming
+    the file and line."""
+    try:
+        return int(row[column])
+    except (TypeError, ValueError):
+        raise InputError(f"{path}:{line}: {column} must be an integer, got {row[column]!r}") from None
+
+
+def read_date(path, line: int, row: dict[str, str]) -> dt.date:
+    """The `date` field of a `read_rows` row as an ISO date, or an InputError
+    naming the file and line."""
+    try:
+        return dt.date.fromisoformat(row["date"])
+    except (TypeError, ValueError):
+        raise InputError(f"{path}:{line}: date must be an ISO date (YYYY-MM-DD), "
+                         f"got {row['date']!r}") from None
+
+
+def check_first(first_line: dict, key, path, line: int, label: str) -> None:
+    """Record `key` as first seen at `line` of `path`; a second row with the
+    same key is an InputError naming both lines."""
+    if key in first_line:
+        raise InputError(f"{path}:{line}: duplicate row for {label} "
+                         f"(first at line {first_line[key]})")
+    first_line[key] = line
+
+
+def load_boundaries(path) -> TermBoundaryTable:
+    """Read a solar-term boundary override: header term_index,month,day and
+    exactly one row per term index 0..23."""
+    entries: dict[int, tuple[int, int]] = {}
+    first_line: dict[int, int] = {}
+    for line, row in read_rows(path, BOUNDARIES_HEADER):
+        idx = read_integer(path, line, row, "term_index")
+        if not 0 <= idx < len(TERM_NAMES):
+            raise InputError(f"{path}:{line}: term_index {idx} out of range 0..{len(TERM_NAMES) - 1}")
+        check_first(first_line, idx, path, line, f"term_index {idx}")
+        entries[idx] = (read_integer(path, line, row, "month"), read_integer(path, line, row, "day"))
+    if len(entries) != len(TERM_NAMES):
+        raise InputError(f"{path}: need exactly one row per term_index 0..{len(TERM_NAMES) - 1}")
+    try:
+        return TermBoundaryTable([entries[i] for i in range(len(TERM_NAMES))])
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _read_series(path: str, header: list[str]) -> dict[str, dict[str, list[tuple[dt.date, float]]]]:
     """(date, value) pairs per value column and product of a `date,product_id,...` file.
 
@@ -154,15 +202,12 @@ def _read_series(path: str, header: list[str]) -> dict[str, dict[str, list[tuple
     first_line: dict[tuple[dt.date, str], int] = {}
     for line, row in read_rows(path, header):
         where, pid = f"{path}:{line}", row["product_id"]
+        day = read_date(path, line, row)
         try:
-            day = dt.date.fromisoformat(row["date"])
             values = [float(row[col]) for col in columns]
         except (TypeError, ValueError) as exc:
             raise InputError(f"{where}: malformed row: {exc}") from exc
-        if (day, pid) in first_line:
-            raise InputError(f"{where}: duplicate row for {pid} on {day} "
-                             f"(first at line {first_line[day, pid]})")
-        first_line[day, pid] = line
+        check_first(first_line, (day, pid), path, line, f"{pid} on {day}")
         for col, value in zip(columns, values):
             if not (math.isfinite(value) and value >= 0.0):
                 raise InputError(f"{where}: {col} must be a finite number >= 0, got {row[col]!r}")

@@ -8,7 +8,6 @@ consecutive terms starting at Li Chun.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 
@@ -76,23 +75,6 @@ class TermBoundaryTable:
         ordered = [(m, d) for m, d, _ in self._sorted]
         if len(set(ordered)) != len(ordered):
             raise InputError("boundary table has duplicate dates")
-
-    @classmethod
-    def from_csv(cls, path: str) -> "TermBoundaryTable":
-        """Load an override table from a CSV with header term_index,month,day."""
-        entries: dict[int, tuple[int, int]] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["term_index", "month", "day"]:
-                raise InputError(f"{path}: expected header term_index,month,day")
-            for row in reader:
-                idx = int(row["term_index"])
-                if not 0 <= idx < len(TERM_NAMES):
-                    raise InputError(f"{path}: term_index {idx} out of range")
-                entries[idx] = (int(row["month"]), int(row["day"]))
-        if sorted(entries) != list(range(len(TERM_NAMES))):
-            raise InputError(f"{path}: need exactly one row per term_index 0..23")
-        return cls([entries[i] for i in range(len(TERM_NAMES))])
 
     def term_index_of(self, date: dt.date) -> int:
         key = (date.month, date.day)

@@ -12,14 +12,6 @@ def test_square_gradient():
     assert p.grad == pytest.approx(6.0)
 
 
-def test_softmax_cross_gradients_sum_to_zero():
-    logits = Tensor(np.array([0.7, -1.2, 0.1]), requires_grad=True)
-    alpha = ad.softmax_last(logits)
-    loss = ad.mean(Tensor(np.array([1.5, -0.4, 2.0])) * alpha)
-    ad.backward(loss)
-    assert abs(logits.grad.sum()) < 1e-12
-
-
 def test_backward_requires_scalar():
     v = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with pytest.raises(InvariantError):
@@ -50,20 +42,6 @@ def test_matmul_batch_gradients_match_fd():
         return ad.mean(ad.matmul(Tensor(x), w) ** 2)
 
     assert ad.finite_difference_check(loss_fn, [w]) < 1e-6
-
-
-def test_shift_concat_softmax_gradients_match_fd():
-    rng = np.random.default_rng(1)
-    for taps, dilation in ((2, 2), (3, 3)):  # (3, 3) has delay 6 >= T = 5
-        a = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 4, 3 * taps)), requires_grad=True)
-
-        def loss_fn():
-            joined = ad.concat_time(ad.delay_stack(a, taps, dilation), b)
-            alpha = ad.softmax_last(ad.reshape(ad.last_step(joined), (2, 3 * taps)))
-            return ad.mean(ad.relu(alpha) ** 2 + ad.mean(joined ** 2))
-
-        assert ad.finite_difference_check(loss_fn, [a, b]) < 1e-6
 
 
 class TestAdam:

@@ -294,6 +294,21 @@ class TestBadInputRows:
         assert exit_code(monkeypatch, ["--out", str(out), "optimize"]) == 1
         assert f"{artifact}:3: {message}" in caplog.text
 
+    @pytest.mark.parametrize("artifact", ["forecast.csv", "intervals.csv"])
+    def test_optimize_duplicate_artifact_row_rejected(self, full_run, tmp_path, monkeypatch,
+                                                      caplog, artifact):
+        out = tmp_path / "run"
+        shutil.copytree(full_run[1], out)
+        rows = read_table(out / artifact)
+        with open(out / artifact, "a", newline="") as fh:
+            csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n").writerow(rows[0])
+        first = rows[0]
+        label = (f"{first['product_id']} on {first['date']}" if artifact == "forecast.csv"
+                 else first["product_id"])
+        assert exit_code(monkeypatch, ["--out", str(out), "optimize"]) == 1
+        assert (f"{artifact}:{len(rows) + 2}: duplicate row for {label} (first at line 2)"
+                in caplog.text)
+
     def test_evaluate_bad_prediction_rejected(self, tmp_path, monkeypatch, caplog):
         truth = tmp_path / "costs.csv"
         truth.write_text("date,product_id,wholesale_cost\n" + "\n".join(COSTS_OK) + "\n")
@@ -301,6 +316,15 @@ class TestBadInputRows:
         pred.write_text("product_id,date,predicted_cost\nA,2023-01-01,2.0\nA,2023-01-02,inf\n")
         assert exit_code(monkeypatch, ["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 1
         assert "forecast.csv:3: predicted_cost must be a finite number, got 'inf'" in caplog.text
+
+    def test_evaluate_bad_date_rejected(self, tmp_path, monkeypatch, caplog):
+        truth = tmp_path / "costs.csv"
+        truth.write_text("date,product_id,wholesale_cost\n" + "\n".join(COSTS_OK) + "\n")
+        pred = tmp_path / "forecast.csv"
+        pred.write_text("product_id,date,predicted_cost\nA,2023-01-01,2.0\nA,2023-13-01,2.0\n")
+        assert exit_code(monkeypatch, ["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 1
+        assert ("forecast.csv:3: date must be an ISO date (YYYY-MM-DD), got '2023-13-01'"
+                in caplog.text)
 
     def test_evaluate_header_mismatch_message(self, tmp_path, monkeypatch, caplog):
         truth = tmp_path / "costs.csv"

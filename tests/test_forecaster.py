@@ -166,12 +166,18 @@ def test_branch_width_mismatch_rejected():
 
 
 def test_loss_graph_size_does_not_depend_on_kernel_size():
-    def loss_nodes(kernel_size):
-        config = ModelConfig(channels=4, kernel_size=kernel_size, dilations=[1, 2])
+    def loss_nodes(kernel_size, dilations):
+        config = ModelConfig(channels=4, kernel_size=kernel_size, dilations=dilations)
         model = ForecasterModel.create(Normalizer(0.0, 1.0), "G", 0, config)
         history = ad.Tensor(np.zeros((8, 15, 1)))
         terms = ad.Tensor(np.zeros((8, 7, forecaster.TERM_WIDTH)))
         loss = ad.mean((model.forward(history, terms) - ad.Tensor(np.zeros((8, 7)))) ** 2)
-        return len(ad._topo_order(loss))
+        return len(ad._topo_order(loss)), len(model.params().tensors())
 
-    assert loss_nodes(3) == loss_nodes(5)
+    for dilations in ([1], [1, 2]):
+        nodes, params = loss_nodes(3, dilations)
+        assert loss_nodes(5, dilations) == (nodes, params)
+        # One node per residual block in each branch, one attention node, the
+        # dense head (matmul, add), the loss (sub, pow, mean) and the leaves:
+        # parameters plus history, terms and target.
+        assert nodes == 2 * len(dilations) + 1 + 2 + 3 + params + 3

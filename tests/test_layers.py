@@ -157,13 +157,35 @@ def test_conv_output_shape(t, c_in, c_out, k):
     assert dilated_conv(rng.normal(size=(t, c_in)), layer).shape == (t, c_out)
 
 
-def test_conv_layer_gradients_match_fd():
+def test_residual_block_gradients_match_fd():
     rng = np.random.default_rng(9)
-    layer = ConvLayer.create(rng, kernel_size=3, c_in=2, c_out=3, dilation=2)
-    x = rng.normal(size=(1, 6, 2))
+    # (3, 3) has the identity skip, (2, 3) the projection; dilation 3 puts
+    # tap 2 at delay 6 >= T = 5, so it reads only padding.
+    for c_in, c_out in ((3, 3), (2, 3)):
+        for dilation in (1, 3):
+            for batch in (1, 3):
+                block = layers.ResidualBlock.create(rng, 3, c_in, c_out, dilation)
+                assert (block.projection is None) == (c_in == c_out)
+                x = Tensor(rng.normal(size=(batch, 5, c_in)), requires_grad=True)
+                target = Tensor(rng.normal(size=(batch, 5, c_out)))
+                params = [x, block.conv.kernel, block.conv.bias]
+                params += [] if block.projection is None else [block.projection]
 
-    def loss_fn():
-        return ad.mean(layer.apply(Tensor(x)) ** 2)
+                def loss_fn():
+                    return ad.mean((block.apply(x) - target) ** 2)
 
-    err = ad.finite_difference_check(loss_fn, [layer.kernel, layer.bias])
-    assert err < 1e-6
+                assert ad.finite_difference_check(loss_fn, params) < 1e-6
+
+
+def test_attention_node_gradients_match_fd():
+    rng = np.random.default_rng(10)
+    for t1 in (1, 4):  # with T1 = 1 the query row is the only cost row
+        for batch in (1, 3):
+            x1 = Tensor(rng.normal(size=(batch, t1, 3)), requires_grad=True)
+            x2 = Tensor(rng.normal(size=(batch, 2, 3)), requires_grad=True)
+            target = Tensor(rng.normal(size=(batch, 3)))
+
+            def loss_fn():
+                return ad.mean((layers.attention_fuse_graph(x1, x2) - target) ** 2)
+
+            assert ad.finite_difference_check(loss_fn, [x1, x2]) < 1e-6

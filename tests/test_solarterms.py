@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freshplan.errors import InputError
+from freshplan.pipeline import load_boundaries
 from freshplan.solarterms import (
     ALL_TERMS,
     TermBoundaryTable,
@@ -96,7 +97,7 @@ def test_csv_override_roundtrip(tmp_path):
     lines += [f"{i},{m},{d}" for i, (m, d) in enumerate(
         TermBoundaryTable().entries)]
     path.write_text("\n".join(lines) + "\n")
-    table = TermBoundaryTable.from_csv(str(path))
+    table = load_boundaries(str(path))
     assert table.entries == TermBoundaryTable().entries
 
 
@@ -104,7 +105,37 @@ def test_csv_override_rejects_bad_header(tmp_path):
     path = tmp_path / "bounds.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(InputError):
-        TermBoundaryTable.from_csv(str(path))
+        load_boundaries(str(path))
+
+
+def default_boundary_lines() -> list[str]:
+    return [f"{i},{m},{d}" for i, (m, d) in enumerate(TermBoundaryTable().entries)]
+
+
+def test_csv_override_missing_file_rejected(tmp_path):
+    path = tmp_path / "absent.csv"
+    with pytest.raises(InputError) as exc:
+        load_boundaries(str(path))
+    assert f"cannot read {path}" in str(exc.value)
+
+
+def test_csv_override_non_integer_rejected(tmp_path):
+    path = tmp_path / "bounds.csv"
+    lines = default_boundary_lines()
+    lines[3] = "x,3,21"
+    path.write_text("term_index,month,day\n" + "\n".join(lines) + "\n")
+    with pytest.raises(InputError) as exc:
+        load_boundaries(str(path))
+    assert f"{path}:5: term_index must be an integer, got 'x'" in str(exc.value)
+
+
+def test_csv_override_duplicate_term_index_rejected(tmp_path):
+    path = tmp_path / "bounds.csv"
+    lines = default_boundary_lines() + ["7,5,22"]
+    path.write_text("term_index,month,day\n" + "\n".join(lines) + "\n")
+    with pytest.raises(InputError) as exc:
+        load_boundaries(str(path))
+    assert f"{path}:26: duplicate row for term_index 7 (first at line 9)" in str(exc.value)
 
 
 def test_table_rejects_wrong_row_count():
