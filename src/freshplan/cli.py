@@ -1,8 +1,11 @@
 """Command-line pipeline: synth, forecast, intervals, rank, optimize, evaluate.
 
 Every stage reads/writes CSV artifacts under the output directory and is
-deterministic given the top-level seed.  Exit codes: 0 success, 1 input error,
-2 internal invariant violation.
+deterministic given the top-level seed.  `forecast` and `intervals` train one
+model per task (product, or product and replica) in a pool of `parallel.jobs`
+worker processes; every task draws only from its own seed and results come
+back in task order, so the artifacts are the same bytes at any job count.
+Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ import csv
 import datetime as dt
 import functools
 import logging
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +75,32 @@ def cmd_synth(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     log.info("synth: %d products x %d days", config.synth.products, config.synth.days)
 
 
-def _train_deploy_model(frame: pipeline.SeriesFrame, table: TermBoundaryTable,
-                        config: RunConfig, seed: int) -> tuple[forecaster.ForecasterModel,
-                                                               forecaster.TrainReport]:
+def _map_tasks(fn, tasks: list, jobs: int) -> tuple[list, int]:
+    """`fn` over `tasks`, results in task order, and the number of workers used.
+
+    `jobs` 0 means every CPU this process may use.  The pool has
+    min(jobs, len(tasks)) forked workers; at 1 the tasks run in this process.
+    A task's exception is raised here, as in a serial run, and the tasks still
+    queued are dropped.
+    """
+    workers = min(jobs or len(os.sched_getaffinity(0)), len(tasks))
+    if workers <= 1:
+        return list(map(fn, tasks)), 1
+    # Forked workers start with numpy and freshplan already imported.  The CLI
+    # runs no other thread, and a fork-context pool forks all its workers
+    # before it starts its own manager thread.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(fn, tasks)), workers
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _deploy_forecast(task: tuple[pipeline.SeriesFrame, TermBoundaryTable, RunConfig]
+                     ) -> tuple[np.ndarray, list[float]]:
+    """Train one product's deploy forecaster; its next-week costs and loss curve."""
+    frame, table, config = task
+    seed = derive_seed(config.seed, "forecast", frame.product_id)
     normalizer = pipeline.fit_normalizer(frame.values)
     windows = pipeline.make_windows(frame, table, config.window.input_days,
                                     config.window.horizon_days, normalizer)
@@ -82,7 +111,23 @@ def _train_deploy_model(frame: pipeline.SeriesFrame, table: TermBoundaryTable,
     report = forecaster.train(model, windows, epochs=config.train.epochs,
                               lr=config.train.lr, seed=derive_seed(seed, "order"),
                               batch_size=batch_size)
-    return model, report
+    first_day = frame.dates[-1] + dt.timedelta(days=1)
+    terms = encode_date_range(first_day, config.window.horizon_days, table)
+    history = frame.values[-config.window.input_days:]
+    return (forecaster.predict(model, history, terms, config.window.input_days),
+            report.loss_curve)
+
+
+def _usable_frames(frames: dict[str, pipeline.SeriesFrame], need: int,
+                   stage: str) -> tuple[list[pipeline.SeriesFrame], int]:
+    """The frames with at least `need` days, in product order, and the skip count."""
+    usable = []
+    for pid in sorted(frames):
+        if len(frames[pid]) < need:
+            log.warning("%s: skipping %s (%d days < %d)", stage, pid, len(frames[pid]), need)
+        else:
+            usable.append(frames[pid])
+    return usable, len(frames) - len(usable)
 
 
 def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
@@ -92,24 +137,17 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
     frames = pipeline.load_costs(str(costs_path))
     manifest.note_input("costs", costs_path)
 
-    need = config.window.input_days + config.window.horizon_days
-    rows, curve_rows, skipped = [], [], 0
-    for pid in sorted(frames):
-        frame = frames[pid]
-        if len(frame) < need:
-            log.warning("forecast: skipping %s (%d days < %d)", pid, len(frame), need)
-            skipped += 1
-            continue
-        model, report = _train_deploy_model(frame, table, config,
-                                            derive_seed(config.seed, "forecast", pid))
-        history = frame.values[-config.window.input_days:]
-        first_day = frame.dates[-1] + dt.timedelta(days=1)
-        terms = encode_date_range(first_day, config.window.horizon_days, table)
-        predicted = forecaster.predict(model, history, terms, config.window.input_days)
+    usable, skipped = _usable_frames(
+        frames, config.window.input_days + config.window.horizon_days, "forecast")
+    results, jobs = _map_tasks(_deploy_forecast, [(frame, table, config) for frame in usable],
+                               config.parallel.jobs)
+    rows, curve_rows = [], []
+    for frame, (predicted, loss_curve) in zip(usable, results):
+        pid, first_day = frame.product_id, frame.dates[-1] + dt.timedelta(days=1)
         for i, value in enumerate(predicted):
             day = first_day + dt.timedelta(days=i)
             rows.append([pid, day.isoformat(), _fmt(value)])
-        for epoch, loss in enumerate(report.loss_curve):
+        for epoch, loss in enumerate(loss_curve):
             curve_rows.append([pid, str(epoch), _fmt(loss)])
 
     forecast_path = out_dir / config.paths.forecast
@@ -117,7 +155,7 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
     curves_path = out_dir / "loss_curves.csv"
     _write_csv(curves_path, ["product_id", "epoch", "loss"], curve_rows)
     manifest.end_stage("forecast", started, [str(forecast_path), str(curves_path)],
-                       skipped=skipped, forecast_rows=len(rows))
+                       skipped=skipped, forecast_rows=len(rows), jobs=jobs)
     log.info("forecast: %d rows, %d products skipped", len(rows), skipped)
 
 
@@ -130,26 +168,29 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
 
     base_cfg = ModelConfig(channels=config.bootstrap.channels, kernel_size=config.tcn.kernel,
                            dilations=list(config.bootstrap.dilations))
-    rows, daily_rows, skipped = [], [], 0
+    usable, skipped = _usable_frames(
+        qty_frames, config.window.input_days + config.window.horizon_days, "intervals")
+    # One flat task list, so that one product's replicas also spread over the workers.
+    tasks = [task for frame in usable for task in intervals_mod.replica_tasks(
+        frame,
+        replicas=config.bootstrap.replicas,
+        min_fraction=config.bootstrap.min_fraction,
+        seed=derive_seed(config.seed, "intervals", frame.product_id),
+        table=table,
+        config=base_cfg,
+        epochs=config.bootstrap.epochs,
+        lr=config.bootstrap.lr,
+        input_days=config.window.input_days,
+    )]
+    trained, jobs = _map_tasks(intervals_mod.train_replica, tasks, config.parallel.jobs)
+
+    rows, daily_rows = [], []
     z = intervals_mod.z_for_level(config.bootstrap.level)
-    min_len = config.window.input_days + config.window.horizon_days
-    for pid in sorted(qty_frames):
-        frame = qty_frames[pid]
-        if len(frame) < min_len:
-            log.warning("intervals: skipping %s (%d days < %d)", pid, len(frame), min_len)
-            skipped += 1
-            continue
-        ensemble = intervals_mod.bootstrap_train(
-            frame,
-            replicas=config.bootstrap.replicas,
-            min_fraction=config.bootstrap.min_fraction,
-            seed=derive_seed(config.seed, "intervals", pid),
-            table=table,
-            config=base_cfg,
-            epochs=config.bootstrap.epochs,
-            lr=config.bootstrap.lr,
-            input_days=config.window.input_days,
-        )
+    replicas = config.bootstrap.replicas
+    for i, frame in enumerate(usable):
+        pid = frame.product_id
+        ensemble = intervals_mod.ensemble_of(pid, trained[i * replicas:(i + 1) * replicas],
+                                             config.window.input_days)
         history = frame.values[-config.window.input_days:]
         first_day = frame.dates[-1] + dt.timedelta(days=1)
         terms = encode_date_range(first_day, config.window.horizon_days, table)
@@ -170,7 +211,7 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
     daily_path = out_dir / config.paths.intervals_daily
     _write_csv(daily_path, INTERVALS_DAILY_HEADER, daily_rows)
     manifest.end_stage("intervals", started, [str(intervals_path), str(daily_path)],
-                       skipped=skipped)
+                       skipped=skipped, jobs=jobs)
     log.info("intervals: %d products, %d skipped", len(rows), skipped)
 
 
@@ -322,9 +363,11 @@ def cmd_evaluate(pred_path: Path, truth_path: Path) -> forecaster.MetricsReport:
     pred_rows = pipeline.read_rows(pred_path, FORECAST_HEADER)
     truth = pipeline.load_costs(str(truth_path))
     y, y_hat = [], []
+    pred_lines: dict[tuple[str, dt.date], int] = {}
     for line, row in pred_rows:
         predicted = pipeline.read_number(pred_path, line, row, "predicted_cost")
         pid, day = row["product_id"], pipeline.read_date(pred_path, line, row)
+        pipeline.check_first(pred_lines, (pid, day), pred_path, line, f"{pid} on {day}")
         if pid not in truth:
             continue
         frame = truth[pid]

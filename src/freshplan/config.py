@@ -76,6 +76,12 @@ class SynthConfig:
 
 
 @dataclass
+class ParallelConfig:
+    # Worker processes for per-model training; 0 = every CPU this process may use.
+    jobs: int = 0
+
+
+@dataclass
 class PathsConfig:
     costs: str = "costs.csv"
     sales: str = "sales.csv"
@@ -99,6 +105,7 @@ class RunConfig:
     topsis: TopsisConfig = field(default_factory=TopsisConfig)
     ga: GaRunConfig = field(default_factory=GaRunConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
+    parallel: ParallelConfig = field(default_factory=ParallelConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def validate(self) -> None:
@@ -123,6 +130,7 @@ class RunConfig:
             (0.0 < self.ga.sigma_decay <= 1.0, "ga.sigma_decay must be in (0, 1]"),
             (self.synth.products >= 1, "synth.products must be >= 1"),
             (self.synth.days >= 30, "synth.days must be >= 30"),
+            (self.parallel.jobs >= 0, "parallel.jobs must be >= 0 (0 = every usable CPU)"),
         ]
         for ok, message in checks:
             if not ok:
@@ -130,7 +138,8 @@ class RunConfig:
 
     def flat_items(self) -> list[tuple[str, str]]:
         items: list[tuple[str, str]] = [("seed", str(self.seed))]
-        for section_name in ("window", "tcn", "train", "bootstrap", "topsis", "ga", "synth", "paths"):
+        for section_name in ("window", "tcn", "train", "bootstrap", "topsis", "ga", "synth",
+                             "parallel", "paths"):
             section = getattr(self, section_name)
             for f in dataclasses.fields(section):
                 value = getattr(section, f.name)

@@ -5,6 +5,13 @@ the sales series; a normal distribution fit to their 7-day totals yields the
 confidence interval.  The interval target is the weekly total because that is
 what the downstream allocation constraint binds; per-day statistics are kept
 as auxiliary output.
+
+Training is split into `replica_tasks`, which checks the inputs and lists one
+`ReplicaTask` per replica, and `train_replica`, which draws that replica's
+slice and seeds from `SeedSequence([seed, 577, r])` alone and trains it.  A
+replica therefore depends on nothing but its task, so any map over the tasks
+gives the same models: `bootstrap_train` uses the builtin `map`, and the CLI
+maps `train_replica` over every product's tasks in a process pool.
 """
 
 from __future__ import annotations
@@ -94,6 +101,68 @@ REPLICA_CONFIG = ModelConfig(channels=8, dilations=[1])
 REPLICA_EPOCHS = 30
 
 
+@dataclass(frozen=True)
+class ReplicaTask:
+    """Everything `train_replica` needs to train replica `replica` of `sales`."""
+
+    sales: SeriesFrame
+    replica: int
+    min_len: int
+    seed: int
+    table: TermBoundaryTable
+    config: ModelConfig
+    epochs: int
+    lr: float
+    batch_size: int | None
+    input_days: int
+
+
+def replica_tasks(
+    sales: SeriesFrame,
+    replicas: int = 100,
+    min_fraction: float = 0.7,
+    seed: int = 0,
+    table: TermBoundaryTable | None = None,
+    config: ModelConfig | None = None,
+    epochs: int = REPLICA_EPOCHS,
+    lr: float = 1e-2,
+    batch_size: int | None = 64,
+    input_days: int = INPUT_DAYS,
+) -> list[ReplicaTask]:
+    """One task per replica, each training on a contiguous random slice
+    covering at least `min_fraction` of the series."""
+    if replicas < 1:
+        raise InputError(f"replicas must be >= 1, got {replicas}")
+    if not 0.0 < min_fraction <= 1.0:
+        raise InputError(f"min_fraction must be in (0, 1], got {min_fraction}")
+    n = len(sales)
+    min_len = max(int(math.ceil(min_fraction * n)), input_days + HORIZON_DAYS)
+    if min_len > n:
+        raise InputError(f"series too short: {n} days cannot fit a "
+                         f"{input_days + HORIZON_DAYS}-day training slice")
+    table = table if table is not None else TermBoundaryTable()
+    config = config if config is not None else REPLICA_CONFIG
+    return [ReplicaTask(sales, r, min_len, seed, table, config, epochs, lr, batch_size,
+                        input_days) for r in range(replicas)]
+
+
+def train_replica(task: ReplicaTask) -> tuple[ForecasterModel, ReplicaSlice]:
+    """Draw the replica's slice length, slice start, model seed and order seed,
+    in that order, from (seed, r), and train the replica on that slice."""
+    n = len(task.sales)
+    rng = np.random.default_rng(np.random.SeedSequence([task.seed, 577, task.replica]))
+    length = int(rng.integers(task.min_len, n + 1))
+    start = int(rng.integers(0, n - length + 1))
+    piece = task.sales.slice(start, start + length)
+    normalizer = fit_normalizer(piece.values)
+    windows = make_windows(piece, task.table, input_days=task.input_days, normalizer=normalizer)
+    model = ForecasterModel.create(normalizer, task.sales.product_id,
+                                   seed=int(rng.integers(0, 2**31)), config=task.config)
+    forecaster.train(model, windows, epochs=task.epochs, lr=task.lr,
+                     seed=int(rng.integers(0, 2**31)), batch_size=task.batch_size)
+    return model, ReplicaSlice(start=start, length=length)
+
+
 def bootstrap_train(
     sales: SeriesFrame,
     replicas: int = 100,
@@ -109,33 +178,16 @@ def bootstrap_train(
     """Train `replicas` forecasters, each on a contiguous random slice covering
     at least `min_fraction` of the series.  Replica seeds derive from (seed, r).
     """
-    if replicas < 1:
-        raise InputError(f"replicas must be >= 1, got {replicas}")
-    if not 0.0 < min_fraction <= 1.0:
-        raise InputError(f"min_fraction must be in (0, 1], got {min_fraction}")
-    n = len(sales)
-    min_len = max(int(math.ceil(min_fraction * n)), input_days + HORIZON_DAYS)
-    if min_len > n:
-        raise InputError(f"series too short: {n} days cannot fit a "
-                         f"{input_days + HORIZON_DAYS}-day training slice")
-    table = table if table is not None else TermBoundaryTable()
-    config = config if config is not None else REPLICA_CONFIG
+    tasks = replica_tasks(sales, replicas, min_fraction, seed, table, config, epochs, lr,
+                          batch_size, input_days)
+    return ensemble_of(sales.product_id, list(map(train_replica, tasks)), input_days)
 
-    models, slices = [], []
-    for r in range(replicas):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 577, r]))
-        length = int(rng.integers(min_len, n + 1))
-        start = int(rng.integers(0, n - length + 1))
-        piece = sales.slice(start, start + length)
-        normalizer = fit_normalizer(piece.values)
-        windows = make_windows(piece, table, input_days=input_days, normalizer=normalizer)
-        model = ForecasterModel.create(normalizer, sales.product_id,
-                                       seed=int(rng.integers(0, 2**31)), config=config)
-        forecaster.train(model, windows, epochs=epochs, lr=lr,
-                         seed=int(rng.integers(0, 2**31)), batch_size=batch_size)
-        models.append(model)
-        slices.append(ReplicaSlice(start=start, length=length))
-    return BootstrapEnsemble(sales.product_id, models, slices, input_days=input_days)
+
+def ensemble_of(product_id: str, trained: list[tuple[ForecasterModel, ReplicaSlice]],
+                input_days: int = INPUT_DAYS) -> BootstrapEnsemble:
+    """The ensemble of one product's `train_replica` results, in replica order."""
+    return BootstrapEnsemble(product_id, [model for model, _ in trained],
+                             [piece for _, piece in trained], input_days=input_days)
 
 
 def predict_interval(

@@ -1,4 +1,6 @@
 import csv
+import multiprocessing
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freshplan import cli
+from freshplan import cli, forecaster
 from freshplan.config import RunConfig, RunManifest, load_config
 from freshplan.errors import InputError, InvariantError
 
@@ -105,6 +107,11 @@ class TestStages:
         stages = manifest.data["stages"]
         assert set(stages) == {"synth", "forecast", "intervals", "rank", "optimize"}
         assert stages["forecast"]["skipped"] == 0
+        # parallel.jobs defaults to every usable CPU, capped by the task count:
+        # 6 products to forecast, 6 x 2 replicas to train for intervals.
+        cpus = len(os.sched_getaffinity(0))
+        assert stages["forecast"]["jobs"] == min(cpus, 6)
+        assert stages["intervals"]["jobs"] == min(cpus, 12)
         assert "random_search_profit" in stages["optimize"]
         assert stages["optimize"]["skipped"] == []
         assert (out / "manifest.json").exists()
@@ -326,6 +333,16 @@ class TestBadInputRows:
         assert ("forecast.csv:3: date must be an ISO date (YYYY-MM-DD), got '2023-13-01'"
                 in caplog.text)
 
+    def test_evaluate_duplicate_prediction_rejected(self, tmp_path, monkeypatch, caplog):
+        truth = tmp_path / "costs.csv"
+        truth.write_text("date,product_id,wholesale_cost\n" + "\n".join(COSTS_OK) + "\n")
+        pred = tmp_path / "forecast.csv"
+        pred.write_text("product_id,date,predicted_cost\n"
+                        "A,2023-01-01,1.0\nA,2023-01-02,2.0\nA,2023-01-02,9.0\n")
+        assert exit_code(monkeypatch, ["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 1
+        assert ("forecast.csv:4: duplicate row for A on 2023-01-02 (first at line 3)"
+                in caplog.text)
+
     def test_evaluate_header_mismatch_message(self, tmp_path, monkeypatch, caplog):
         truth = tmp_path / "costs.csv"
         truth.write_text("date,product_id,wholesale_cost\n" + "\n".join(COSTS_OK) + "\n")
@@ -334,6 +351,72 @@ class TestBadInputRows:
         assert exit_code(monkeypatch, ["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 1
         assert (f"{pred}: expected header product_id,date,predicted_cost, "
                 f"got ['product', 'date', 'cost']") in caplog.text
+
+
+A12_FLAGS = [f for key in ("synth.products=10", "synth.days=130", "tcn.channels=6",
+                            "train.epochs=5", "bootstrap.replicas=3", "bootstrap.epochs=3",
+                            "bootstrap.channels=4", "topsis.top_k=6", "ga.pop=30", "ga.gens=40")
+             for f in ("--set", key)]
+RUN_ALL_CSVS = ("forecast.csv", "loss_curves.csv", "intervals.csv", "intervals_daily.csv",
+                "ranking.csv", "demand.csv", "plan.csv", "ga_trace.csv")
+
+
+class TestParallelJobs:
+    """`parallel.jobs` changes how many processes train, never the bytes written."""
+
+    def test_run_all_same_bytes_at_one_and_two_jobs(self, tmp_path):
+        for jobs in (1, 2):
+            assert cli.run([*A12_FLAGS, "--set", f"parallel.jobs={jobs}", "--seed", "42",
+                            "--out", str(tmp_path / str(jobs)), "run-all"]) == 0
+        for artifact in RUN_ALL_CSVS:
+            assert (tmp_path / "1" / artifact).read_bytes() == \
+                   (tmp_path / "2" / artifact).read_bytes(), artifact
+
+    def test_one_product_replicas_same_bytes_across_workers(self, tmp_path):
+        flags = ["--set", "synth.products=1", "--set", "synth.days=90",
+                 "--set", "bootstrap.replicas=5", "--set", "bootstrap.epochs=2",
+                 "--set", "bootstrap.channels=4"]
+        assert cli.run([*flags, "--out", str(tmp_path / "1"), "synth"]) == 0
+        shutil.copytree(tmp_path / "1", tmp_path / "2")
+        manifests = {}
+        for jobs in (1, 2):
+            out = tmp_path / str(jobs)
+            assert cli.run([*flags, "--set", f"parallel.jobs={jobs}", "--out", str(out),
+                            "intervals"]) == 0
+            manifests[jobs] = (out / "manifest.json").read_text()
+        for artifact in ("intervals.csv", "intervals_daily.csv"):
+            assert (tmp_path / "1" / artifact).read_bytes() == \
+                   (tmp_path / "2" / artifact).read_bytes(), artifact
+        assert '"jobs": 1' in manifests[1] and '"jobs": 2' in manifests[2]
+
+    @pytest.mark.parametrize("stage", ["forecast", "intervals"])
+    @pytest.mark.parametrize("error,code", [(InvariantError, 2), (InputError, 1)])
+    def test_worker_failure_surfaces_as_in_serial_run(self, tmp_path, monkeypatch, caplog,
+                                                      stage, error, code):
+        flags = ["--set", "synth.products=4", "--set", "synth.days=60",
+                 "--set", "tcn.channels=4", "--set", "train.epochs=1",
+                 "--set", "bootstrap.replicas=2", "--set", "bootstrap.epochs=1",
+                 "--set", "bootstrap.channels=4", "--out", str(tmp_path)]
+        assert cli.run([*flags, "synth"]) == 0
+        train = forecaster.train
+
+        def failing_train(model, *args, **kwargs):
+            if model.product_id == "P2":
+                raise error(f"{model.product_id}: planted failure")
+            return train(model, *args, **kwargs)
+
+        # A forked worker inherits the patched module attribute.
+        monkeypatch.setattr(forecaster, "train", failing_train)
+        for jobs in (1, 2):
+            caplog.clear()
+            assert exit_code(monkeypatch, [*flags, "--set", f"parallel.jobs={jobs}", stage]) == code
+            assert "P2: planted failure" in caplog.text
+            assert multiprocessing.active_children() == []
+
+    def test_negative_jobs_is_input_error(self, tmp_path, monkeypatch, caplog):
+        assert exit_code(monkeypatch, ["--set", "parallel.jobs=-1", "--out", str(tmp_path),
+                                       "synth"]) == 1
+        assert "parallel.jobs must be >= 0" in caplog.text
 
 
 class TestCommandLine:

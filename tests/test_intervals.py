@@ -69,6 +69,17 @@ class TestBootstrapTrain:
         heads = {ens.models[i].head.weights.data.tobytes() for i in (0, 1, 2, 50, 99)}
         assert len(heads) == 5
 
+    def test_replica_depends_only_on_its_task(self):
+        frame = sales_frame()
+        ens = bootstrap_train(frame, replicas=4, min_fraction=0.7, seed=3, config=TINY, epochs=1)
+        tasks = iv.replica_tasks(frame, replicas=4, min_fraction=0.7, seed=3, config=TINY,
+                                 epochs=1)
+        for r in (3, 1):  # out of order, alone
+            model, piece = iv.train_replica(tasks[r])
+            assert (piece.start, piece.length) == (ens.slices[r].start, ens.slices[r].length)
+            assert model.head.weights.data.tobytes() == \
+                ens.models[r].head.weights.data.tobytes()
+
     def test_too_short_series_rejected(self):
         frame = sales_frame(days=30)
         with pytest.raises(InputError, match="too short"):
