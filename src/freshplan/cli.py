@@ -2,23 +2,24 @@
 
 Every stage reads/writes CSV artifacts under the output directory and is
 deterministic given the top-level seed.  `forecast` and `intervals` train one
-model per task (product, or product and replica) in a pool of `parallel.jobs`
-worker processes; every task draws only from its own seed and results come
-back in task order, so the artifacts are the same bytes at any job count.
+model per task (product, or product and replica) in a pool of worker
+processes, one per CPU this process may use; every task draws only from its
+own seed and results come back in task order, so the artifacts are the same
+bytes at any worker count.
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime as dt
 import functools
+import itertools
 import logging
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -75,23 +76,35 @@ def cmd_synth(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     log.info("synth: %d products x %d days", config.synth.products, config.synth.days)
 
 
-def _map_tasks(fn, tasks: list, jobs: int) -> tuple[list, int]:
-    """`fn` over `tasks`, results in task order, and the number of workers used.
+@contextlib.contextmanager
+def _task_map(n_tasks: int):
+    """A map over `n_tasks` tasks that yields results lazily in task order, and
+    the number of workers it uses: min(CPUs this process may use, n_tasks).
 
-    `jobs` 0 means every CPU this process may use.  The pool has
-    min(jobs, len(tasks)) forked workers; at 1 the tasks run in this process.
-    A task's exception is raised here, as in a serial run, and the tasks still
-    queued are dropped.
+    At one worker the map is the builtin `map` in this process; above that it
+    runs the tasks in forked worker processes.  Tasks go out in chunks of a
+    quarter of each worker's share, which keeps the workers evenly loaded, and
+    of at most 8 tasks, so that few finished results wait in this process for
+    the caller to read them.  A task's exception is raised where its result is
+    read, as in a serial run, and on leaving the block the tasks still queued
+    are dropped.
     """
-    workers = min(jobs or len(os.sched_getaffinity(0)), len(tasks))
+    workers = min(len(os.sched_getaffinity(0)), n_tasks)
     if workers <= 1:
-        return list(map(fn, tasks)), 1
+        yield map, 1
+        return
+    # Imported here, not at the top: they add about 8 ms to the start of every
+    # CLI process, and only the stages that train need them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # Forked workers start with numpy and freshplan already imported.  The CLI
     # runs no other thread, and a fork-context pool forks all its workers
     # before it starts its own manager thread.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(fn, tasks)), workers
+        chunksize = min(8, max(1, n_tasks // (4 * workers)))
+        yield functools.partial(pool.map, chunksize=chunksize), workers
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -139,8 +152,8 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
 
     usable, skipped = _usable_frames(
         frames, config.window.input_days + config.window.horizon_days, "forecast")
-    results, jobs = _map_tasks(_deploy_forecast, [(frame, table, config) for frame in usable],
-                               config.parallel.jobs)
+    with _task_map(len(usable)) as (task_map, jobs):
+        results = list(task_map(_deploy_forecast, [(frame, table, config) for frame in usable]))
     rows, curve_rows = [], []
     for frame, (predicted, loss_curve) in zip(usable, results):
         pid, first_day = frame.product_id, frame.dates[-1] + dt.timedelta(days=1)
@@ -182,29 +195,31 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
         lr=config.bootstrap.lr,
         input_days=config.window.input_days,
     )]
-    trained, jobs = _map_tasks(intervals_mod.train_replica, tasks, config.parallel.jobs)
 
     rows, daily_rows = [], []
     z = intervals_mod.z_for_level(config.bootstrap.level)
-    replicas = config.bootstrap.replicas
-    for i, frame in enumerate(usable):
-        pid = frame.product_id
-        ensemble = intervals_mod.ensemble_of(pid, trained[i * replicas:(i + 1) * replicas],
-                                             config.window.input_days)
-        history = frame.values[-config.window.input_days:]
-        first_day = frame.dates[-1] + dt.timedelta(days=1)
-        terms = encode_date_range(first_day, config.window.horizon_days, table)
-        interval = intervals_mod.predict_interval(ensemble, history, terms,
-                                                  level=config.bootstrap.level)
-        rows.append([pid, _fmt(interval.level), _fmt(interval.mean), _fmt(interval.std),
-                     _fmt(interval.lower), _fmt(interval.upper)])
-        for day in range(interval.daily.shape[1]):
-            day_mean = float(interval.daily[:, day].mean())
-            day_std = float(interval.daily[:, day].std())
-            daily_rows.append([pid, _fmt(interval.level), str(day),
-                               _fmt(day_mean), _fmt(day_std),
-                               _fmt(max(0.0, day_mean - z * day_std)),
-                               _fmt(day_mean + z * day_std)])
+    with _task_map(len(tasks)) as (task_map, jobs):
+        trained = task_map(intervals_mod.train_replica, tasks)
+        for frame in usable:
+            # Read one product's models at a time and drop them after use.
+            pid = frame.product_id
+            ensemble = intervals_mod.ensemble_of(
+                pid, list(itertools.islice(trained, config.bootstrap.replicas)),
+                config.window.input_days)
+            history = frame.values[-config.window.input_days:]
+            first_day = frame.dates[-1] + dt.timedelta(days=1)
+            terms = encode_date_range(first_day, config.window.horizon_days, table)
+            interval = intervals_mod.predict_interval(ensemble, history, terms,
+                                                      level=config.bootstrap.level)
+            rows.append([pid, _fmt(interval.level), _fmt(interval.mean), _fmt(interval.std),
+                         _fmt(interval.lower), _fmt(interval.upper)])
+            for day in range(interval.daily.shape[1]):
+                day_mean = float(interval.daily[:, day].mean())
+                day_std = float(interval.daily[:, day].std())
+                daily_rows.append([pid, _fmt(interval.level), str(day),
+                                   _fmt(day_mean), _fmt(day_std),
+                                   _fmt(max(0.0, day_mean - z * day_std)),
+                                   _fmt(day_mean + z * day_std)])
 
     intervals_path = out_dir / config.paths.intervals
     _write_csv(intervals_path, INTERVALS_HEADER, rows)

@@ -76,12 +76,6 @@ class SynthConfig:
 
 
 @dataclass
-class ParallelConfig:
-    # Worker processes for per-model training; 0 = every CPU this process may use.
-    jobs: int = 0
-
-
-@dataclass
 class PathsConfig:
     costs: str = "costs.csv"
     sales: str = "sales.csv"
@@ -105,7 +99,6 @@ class RunConfig:
     topsis: TopsisConfig = field(default_factory=TopsisConfig)
     ga: GaRunConfig = field(default_factory=GaRunConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def validate(self) -> None:
@@ -130,7 +123,6 @@ class RunConfig:
             (0.0 < self.ga.sigma_decay <= 1.0, "ga.sigma_decay must be in (0, 1]"),
             (self.synth.products >= 1, "synth.products must be >= 1"),
             (self.synth.days >= 30, "synth.days must be >= 30"),
-            (self.parallel.jobs >= 0, "parallel.jobs must be >= 0 (0 = every usable CPU)"),
         ]
         for ok, message in checks:
             if not ok:
@@ -138,8 +130,7 @@ class RunConfig:
 
     def flat_items(self) -> list[tuple[str, str]]:
         items: list[tuple[str, str]] = [("seed", str(self.seed))]
-        for section_name in ("window", "tcn", "train", "bootstrap", "topsis", "ga", "synth",
-                             "parallel", "paths"):
+        for section_name in ("window", "tcn", "train", "bootstrap", "topsis", "ga", "synth", "paths"):
             section = getattr(self, section_name)
             for f in dataclasses.fields(section):
                 value = getattr(section, f.name)

@@ -1,14 +1,16 @@
 import csv
+import gc
 import multiprocessing
 import os
 import shutil
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from freshplan import cli, forecaster
+from freshplan import cli, forecaster, intervals
 from freshplan.config import RunConfig, RunManifest, load_config
 from freshplan.errors import InputError, InvariantError
 
@@ -107,8 +109,8 @@ class TestStages:
         stages = manifest.data["stages"]
         assert set(stages) == {"synth", "forecast", "intervals", "rank", "optimize"}
         assert stages["forecast"]["skipped"] == 0
-        # parallel.jobs defaults to every usable CPU, capped by the task count:
-        # 6 products to forecast, 6 x 2 replicas to train for intervals.
+        # One worker per usable CPU, capped by the task count: 6 products to
+        # forecast, 6 x 2 replicas to train for intervals.
         cpus = len(os.sched_getaffinity(0))
         assert stages["forecast"]["jobs"] == min(cpus, 6)
         assert stages["intervals"]["jobs"] == min(cpus, 12)
@@ -361,33 +363,66 @@ RUN_ALL_CSVS = ("forecast.csv", "loss_curves.csv", "intervals.csv", "intervals_d
                 "ranking.csv", "demand.csv", "plan.csv", "ga_trace.csv")
 
 
-class TestParallelJobs:
-    """`parallel.jobs` changes how many processes train, never the bytes written."""
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make the CLI see an affinity mask of `n` CPUs, as `taskset` would."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(n)))
 
-    def test_run_all_same_bytes_at_one_and_two_jobs(self, tmp_path):
-        for jobs in (1, 2):
-            assert cli.run([*A12_FLAGS, "--set", f"parallel.jobs={jobs}", "--seed", "42",
-                            "--out", str(tmp_path / str(jobs)), "run-all"]) == 0
+
+class TestWorkerPool:
+    """The number of training workers changes how many processes train, never
+    the bytes written."""
+
+    def test_run_all_same_bytes_at_one_and_two_workers(self, tmp_path, monkeypatch):
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            assert cli.run([*A12_FLAGS, "--seed", "42", "--out", str(tmp_path / str(cpus)),
+                            "run-all"]) == 0
         for artifact in RUN_ALL_CSVS:
             assert (tmp_path / "1" / artifact).read_bytes() == \
                    (tmp_path / "2" / artifact).read_bytes(), artifact
 
-    def test_one_product_replicas_same_bytes_across_workers(self, tmp_path):
+    def test_one_product_replicas_same_bytes_across_workers(self, tmp_path, monkeypatch):
         flags = ["--set", "synth.products=1", "--set", "synth.days=90",
                  "--set", "bootstrap.replicas=5", "--set", "bootstrap.epochs=2",
                  "--set", "bootstrap.channels=4"]
         assert cli.run([*flags, "--out", str(tmp_path / "1"), "synth"]) == 0
         shutil.copytree(tmp_path / "1", tmp_path / "2")
         manifests = {}
-        for jobs in (1, 2):
-            out = tmp_path / str(jobs)
-            assert cli.run([*flags, "--set", f"parallel.jobs={jobs}", "--out", str(out),
-                            "intervals"]) == 0
-            manifests[jobs] = (out / "manifest.json").read_text()
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert cli.run([*flags, "--out", str(out), "intervals"]) == 0
+            manifests[cpus] = (out / "manifest.json").read_text()
         for artifact in ("intervals.csv", "intervals_daily.csv"):
             assert (tmp_path / "1" / artifact).read_bytes() == \
                    (tmp_path / "2" / artifact).read_bytes(), artifact
         assert '"jobs": 1' in manifests[1] and '"jobs": 2' in manifests[2]
+
+    def test_intervals_holds_one_product_of_models_at_a_time(self, tmp_path, monkeypatch):
+        flags = ["--set", "synth.products=6", "--set", "synth.days=60",
+                 "--set", "bootstrap.replicas=2", "--set", "bootstrap.epochs=1",
+                 "--set", "bootstrap.channels=4", "--out", str(tmp_path)]
+        assert cli.run([*flags, "synth"]) == 0
+        refs, held = [], []
+        train_replica, ensemble_of = intervals.train_replica, intervals.ensemble_of
+
+        def tracked_train(task):
+            model, piece = train_replica(task)
+            refs.append(weakref.ref(model))
+            return model, piece
+
+        def counting_ensemble(*args, **kwargs):
+            gc.collect()
+            held.append(sum(ref() is not None for ref in refs))
+            return ensemble_of(*args, **kwargs)
+
+        monkeypatch.setattr(intervals, "train_replica", tracked_train)
+        monkeypatch.setattr(intervals, "ensemble_of", counting_ensemble)
+        use_cpus(monkeypatch, 1)
+        assert cli.run([*flags, "intervals"]) == 0
+        # This product's replicas, plus the previous product's ensemble until
+        # the loop rebinds it; never all 6 x 2 models.
+        assert len(held) == 6 and max(held) <= 4
 
     @pytest.mark.parametrize("stage", ["forecast", "intervals"])
     @pytest.mark.parametrize("error,code", [(InvariantError, 2), (InputError, 1)])
@@ -407,16 +442,12 @@ class TestParallelJobs:
 
         # A forked worker inherits the patched module attribute.
         monkeypatch.setattr(forecaster, "train", failing_train)
-        for jobs in (1, 2):
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
             caplog.clear()
-            assert exit_code(monkeypatch, [*flags, "--set", f"parallel.jobs={jobs}", stage]) == code
+            assert exit_code(monkeypatch, [*flags, stage]) == code
             assert "P2: planted failure" in caplog.text
             assert multiprocessing.active_children() == []
-
-    def test_negative_jobs_is_input_error(self, tmp_path, monkeypatch, caplog):
-        assert exit_code(monkeypatch, ["--set", "parallel.jobs=-1", "--out", str(tmp_path),
-                                       "synth"]) == 1
-        assert "parallel.jobs must be >= 0" in caplog.text
 
 
 class TestCommandLine:

@@ -25,7 +25,6 @@ def test_defaults_match_documented_values():
     assert cfg.ga.mutation_prob == 0.1
     assert cfg.ga.sigma_fraction == 0.1
     assert cfg.ga.sigma_decay == 0.995
-    assert cfg.parallel.jobs == 0
 
 
 def test_file_and_overrides(tmp_path):
@@ -53,12 +52,6 @@ def test_invalid_combination_rejected(tmp_path):
     path.write_text("bootstrap.level=1.5\n")
     with pytest.raises(InputError):
         load_config(str(path))
-
-
-def test_negative_jobs_rejected():
-    with pytest.raises(InputError, match="parallel.jobs must be >= 0"):
-        load_config(None, ["parallel.jobs=-1"])
-    assert load_config(None, ["parallel.jobs=3"]).parallel.jobs == 3
 
 
 def test_malformed_line_rejected(tmp_path):
