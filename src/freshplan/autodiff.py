@@ -8,8 +8,19 @@ the forecasting model needs rather than a general broadcasting engine:
 elementwise `add`, `sub`, `mul` and `pow_const`, `matmul` with stacked batch
 dimensions, and `mean`.  They build the dense head and the loss; the residual
 blocks and the attention fusion are single nodes with their own backward
-(`layers.py`), made with the same `Tensor` constructor.  `Adam` updates the
-parameters of a `ParamSet`.
+(`layers.py`), made with the same `Tensor` constructor.
+
+A tensor needs a gradient when it is `requires_grad` or has a `_backward`;
+`accumulate` drops what arrives for any other tensor (raw inputs, targets), and
+a backward may skip computing a gradient for an operand that needs none.
+
+`Adam` updates the parameters of a `ParamSet` as one float64 vector: it
+rebinds every parameter's `data` to a view into that vector, copies the
+`.grad` slots into a matching gradient vector, and applies each of its five
+update expressions once to the whole vector.  Elementwise IEEE arithmetic does
+not depend on how the elements are grouped, so this gives the same bits as
+updating tensor by tensor.  A parameter whose grad is None keeps its value and
+its moments.
 
 Gradient correctness is validated against central finite differences in the
 test suite; `finite_difference_check` implements the probe.
@@ -46,7 +57,13 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
+    @property
+    def needs_grad(self) -> bool:
+        return self.requires_grad or self._backward is not None
+
     def accumulate(self, g: np.ndarray) -> None:
+        if not self.needs_grad:
+            return
         # Out-of-place sum: the first gradient is stored as given and may be
         # a view shared with another node, so it is never mutated.
         self.grad = g if self.grad is None else self.grad + g
@@ -234,7 +251,11 @@ class ParamSet:
 
 
 class Adam:
-    """Adam optimizer; step() applies the update and then zeroes the grads."""
+    """Adam optimizer; step() applies the update and then zeroes the grads.
+
+    The parameters' `data` become views into one vector owned by the
+    optimizer; updates write that vector in place.
+    """
 
     def __init__(self, params: ParamSet, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -244,21 +265,39 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(t.data) for t in params.tensors()]
-        self._v = [np.zeros_like(t.data) for t in params.tensors()]
+        tensors = params.tensors()
+        self._flat = np.concatenate([t.data.ravel() for t in tensors])
+        self._parts: list[tuple[Tensor, slice]] = []
+        start = 0
+        for t in tensors:
+            part = slice(start, start + t.data.size)
+            t.data = self._flat[part].reshape(t.data.shape)
+            self._parts.append((t, part))
+            start = part.stop
+        self._grad = np.zeros_like(self._flat)
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
         self.t += 1
-        for i, tensor in enumerate(self.params.tensors()):
-            g = tensor.grad
-            if g is None:
-                continue
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self._m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self._v[i] / (1.0 - self.beta2 ** self.t)
-            tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = self._grad
+        missing = []
+        for tensor, part in self._parts:
+            if tensor.grad is None:
+                missing.append(part)
+            else:
+                g[part] = tensor.grad.reshape(-1)
+        m = self.beta1 * self._m + (1.0 - self.beta1) * g
+        v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1 ** self.t)
+        v_hat = v / (1.0 - self.beta2 ** self.t)
+        update = lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # Undo the update where the gradient is missing; x - 0.0 is x.
+        for part in missing:
+            m[part], v[part], update[part] = self._m[part], self._v[part], 0.0
+        self._m, self._v = m, v
+        self._flat -= update
         self.params.zero_grads()
 
 

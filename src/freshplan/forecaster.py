@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import layers
 from .autodiff import Adam, ParamSet, Tensor
 from .errors import InputError, InvariantError
-from .pipeline import HORIZON_DAYS, INPUT_DAYS, Normalizer, WindowSample
+from .pipeline import HORIZON_DAYS, INPUT_DAYS, Normalizer, Windows
 
 TERM_WIDTH = 10
 
@@ -78,16 +78,9 @@ class TrainReport:
     loss_curve: list[float]
 
 
-def _stack_samples(samples: list[WindowSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    histories = np.stack([s.history for s in samples])
-    terms = np.stack([s.future_terms for s in samples])
-    targets = np.stack([s.target for s in samples])
-    return histories, terms, targets
-
-
 def train(
     model: ForecasterModel,
-    samples: list[WindowSample],
+    windows: Windows,
     epochs: int = 100,
     lr: float = 1e-3,
     seed: int = 0,
@@ -96,22 +89,23 @@ def train(
     """Adam on MSE over scaled targets; one loss-curve entry per epoch.
 
     The default is full-batch (each epoch is one update on the mean loss over
-    all samples); `batch_size` switches to deterministic shuffled mini-batches.
+    all windows); `batch_size` switches to deterministic shuffled mini-batches.
     """
-    if not samples:
+    if not windows:
         raise InputError("empty samples")
-    histories, terms, targets = _stack_samples(samples)
+    histories, terms, targets = windows.histories, windows.terms, windows.targets
+    n = len(windows)
     params = model.params()
     optimizer = Adam(params, lr=lr)
     rng = np.random.default_rng(seed)
 
     loss_curve: list[float] = []
     for _ in range(epochs):
-        if batch_size is None or batch_size >= len(samples):
+        if batch_size is None or batch_size >= n:
             batches = [slice(None)]
         else:
-            order = rng.permutation(len(samples))
-            batches = [order[i:i + batch_size] for i in range(0, len(samples), batch_size)]
+            order = rng.permutation(n)
+            batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
         epoch_loss = 0.0
         for batch in batches:
             h = Tensor(histories[batch][:, :, None])
@@ -120,9 +114,9 @@ def train(
             loss = ad.mean((model.forward(h, t) - y) ** 2)
             ad.backward(loss)
             optimizer.step()
-            count = len(samples) if isinstance(batch, slice) else len(batch)
+            count = n if isinstance(batch, slice) else len(batch)
             epoch_loss += float(loss.data) * count
-        loss_curve.append(epoch_loss / len(samples))
+        loss_curve.append(epoch_loss / n)
         if not np.isfinite(loss_curve[-1]):
             raise InvariantError(f"{model.product_id}: training loss diverged")
     return TrainReport(final_loss=loss_curve[-1] if loss_curve else float("nan"),
@@ -165,22 +159,22 @@ def evaluate(y, y_hat) -> MetricsReport:
 # -- evaluation helpers -------------------------------------------------------
 
 
-def holdout_mse(model: ForecasterModel, samples: list[WindowSample], space: str = "raw") -> float:
+def holdout_mse(model: ForecasterModel, windows: Windows, space: str = "raw") -> float:
     """Mean squared error of the model over windows, in raw or normalized space."""
     if space not in ("raw", "normalized"):
         raise InputError(f"space must be 'raw' or 'normalized', got {space!r}")
-    histories, terms, targets = _stack_samples(samples)
-    preds = model.predict_scaled(histories, terms)
+    preds = model.predict_scaled(windows.histories, windows.terms)
+    targets = windows.targets
     if space == "raw":
         preds = model.normalizer.inverse(preds)
         targets = model.normalizer.inverse(targets)
     return float(np.mean((preds - targets) ** 2))
 
 
-def naive_mse(samples: list[WindowSample], normalizer: Normalizer, space: str = "raw") -> float:
+def naive_mse(windows: Windows, normalizer: Normalizer, space: str = "raw") -> float:
     """MSE of repeating each window's last observed value across the horizon."""
-    histories, _, targets = _stack_samples(samples)
-    preds = np.repeat(histories[:, -1:], targets.shape[1], axis=1)
+    targets = windows.targets
+    preds = np.repeat(windows.histories[:, -1:], targets.shape[1], axis=1)
     if space == "raw":
         preds = normalizer.inverse(preds)
         targets = normalizer.inverse(targets)

@@ -20,7 +20,9 @@ backward passes keep the numpy expressions of the op-by-op chain rule (the
 batched matmuls summed over the batch afterwards, the max-shifted softmax, the
 [B, L, 1] and [B, 1, L] products), and every gradient slot receives at most two
 terms.  IEEE addition of two terms does not depend on their order, so the fused
-nodes give the same bits as the same model written with elementary ops.
+nodes give the same bits as the same model written with elementary ops.  A
+residual block whose input needs no gradient (a raw data tensor, see
+`autodiff`) computes only its kernel, bias and projection gradients.
 """
 
 from __future__ import annotations
@@ -130,15 +132,15 @@ class ResidualBlock:
             bias.accumulate(g_pre.sum(axis=0).sum(axis=0))
             kernel.accumulate((np.swapaxes(stacked, -1, -2) @ g_pre).sum(axis=0)
                               .reshape(kernel.data.shape))
+            if projection is not None:
+                projection.accumulate((np.swapaxes(x.data, -1, -2) @ g).sum(axis=0))
+            if not x.needs_grad:
+                return
             g_stacked = g_pre @ kernel.data.reshape(k * c_in, c_out).T
             g_x = np.zeros_like(x.data)
             for r, s in _live_taps(k, self.conv.dilation, t):
                 g_x[..., :t - s, :] += g_stacked[..., s:, r * c_in:(r + 1) * c_in]
-            if projection is None:
-                x.accumulate(g_x + g)
-            else:
-                projection.accumulate((np.swapaxes(x.data, -1, -2) @ g).sum(axis=0))
-                x.accumulate(g_x + g @ projection.data.T)
+            x.accumulate(g_x + (g if projection is None else g @ projection.data.T))
 
         parents = (x, kernel, bias) if projection is None else (x, kernel, bias, projection)
         return Tensor(np.where(mask, pre, 0.0) + skip, _parents=parents, _backward=backprop)

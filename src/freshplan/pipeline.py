@@ -2,7 +2,11 @@
 
 Forecasting windows pair 15 days of scaled history with the solar-term bit
 matrix of the following 7 days and those days' scaled values as the target;
-the window slides one day at a time.
+the window slides one day at a time.  `make_windows` returns them as one
+`Windows` record of stacked arrays, one row per window (histories [n, 15],
+terms [n, 7, 10], targets [n, 7], anchor dates), built from strided views of
+the scaled series and of its per-date term indices, so each date is looked up
+once.  A slice of the record is the record of those windows.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .solarterms import TERM_NAMES, TermBoundaryTable, encode_date_range, term_of_date
+from .solarterms import TERM_CODES, TERM_NAMES, TermBoundaryTable
 
 INPUT_DAYS = 15
 HORIZON_DAYS = 7
@@ -77,13 +81,22 @@ def fit_normalizer(values) -> Normalizer:
 
 
 @dataclass
-class WindowSample:
-    """15 days of scaled history, the next 7 days' term bits, and the scaled target."""
+class Windows:
+    """Every one-day-stride window of one series, one row per window."""
 
-    history: np.ndarray      # [INPUT_DAYS]
-    future_terms: np.ndarray  # [HORIZON_DAYS, 10]
-    target: np.ndarray       # [HORIZON_DAYS]
-    anchor_date: dt.date     # first target day
+    histories: np.ndarray        # [n, input_days] scaled history
+    terms: np.ndarray            # [n, horizon, 10] term bits of the target days
+    targets: np.ndarray          # [n, horizon] scaled target
+    anchor_dates: list[dt.date]  # first target day of each window
+
+    def __len__(self) -> int:
+        return len(self.anchor_dates)
+
+    def __getitem__(self, key: slice) -> "Windows":
+        if not isinstance(key, slice):
+            raise TypeError(f"Windows take a slice, got {type(key).__name__}")
+        return Windows(self.histories[key], self.terms[key], self.targets[key],
+                       self.anchor_dates[key])
 
 
 def make_windows(
@@ -92,26 +105,24 @@ def make_windows(
     input_days: int = INPUT_DAYS,
     horizon: int = HORIZON_DAYS,
     normalizer: Normalizer | None = None,
-) -> list[WindowSample]:
+) -> Windows:
     """Build every one-day-stride window; values are scaled by `normalizer`
     (fit on the whole series when not supplied)."""
     table = table if table is not None else TermBoundaryTable()
     span = input_days + horizon
-    if len(costs) < span:
-        raise InputError(f"insufficient history: {len(costs)} days < {span}")
+    n = len(costs)
+    if n < span:
+        raise InputError(f"insufficient history: {n} days < {span}")
     if normalizer is None:
         normalizer = fit_normalizer(costs.values)
     scaled = normalizer.normalize(costs.values)
-    samples = []
-    for k in range(len(costs) - span + 1):
-        anchor = costs.dates[k + input_days]
-        samples.append(WindowSample(
-            history=scaled[k:k + input_days],
-            future_terms=encode_date_range(anchor, horizon, table),
-            target=scaled[k + input_days:k + span],
-            anchor_date=anchor,
-        ))
-    return samples
+    window = np.lib.stride_tricks.sliding_window_view
+    return Windows(
+        histories=np.ascontiguousarray(window(scaled[:n - horizon], input_days)),
+        terms=TERM_CODES[window(table.term_indices(costs.dates[input_days:]), horizon)],
+        targets=np.ascontiguousarray(window(scaled[input_days:], horizon)),
+        anchor_dates=costs.dates[input_days:n - horizon + 1],
+    )
 
 
 # -- CSV ingestion -----------------------------------------------------------
@@ -320,7 +331,7 @@ def generate_synthetic(
     params = params if params is not None else SyntheticParams()
 
     dates = [params.start_date + dt.timedelta(days=i) for i in range(days)]
-    term_idx = np.array([term_of_date(day, table).index for day in dates])
+    term_idx = table.term_indices(dates)
 
     width = len(str(max(product_count - 1, 1)))
     costs, sales, prices = {}, {}, {}

@@ -3,7 +3,9 @@
 Each Gregorian date is mapped to one of the 24 terms via a (month, day) boundary
 table, and each term is encoded as a 10-bit two-hot vector: 4 season bits
 followed by 6 within-season position bits.  Seasons are blocks of six
-consecutive terms starting at Li Chun.
+consecutive terms starting at Li Chun.  `TERM_CODES` holds the 24 codes as
+rows, so a run of dates is encoded by one table lookup per date
+(`TermBoundaryTable.term_indices`) and one row index.
 """
 
 from __future__ import annotations
@@ -68,25 +70,23 @@ class TermBoundaryTable:
             except ValueError as exc:
                 raise InputError(f"invalid boundary date ({month}, {day})") from exc
         self.entries = entries
-        # Boundaries sorted by calendar position, each tagged with its term index.
-        self._sorted = sorted(
-            ((month, day, idx) for idx, (month, day) in enumerate(entries)),
-        )
-        ordered = [(m, d) for m, d, _ in self._sorted]
-        if len(set(ordered)) != len(ordered):
+        # Boundaries sorted by calendar position as month * 100 + day keys,
+        # with the term index each one starts.
+        ordered = sorted((100 * month + day, idx) for idx, (month, day) in enumerate(entries))
+        self._keys = np.array([key for key, _ in ordered])
+        self._terms = np.array([idx for _, idx in ordered])
+        if len(set(self._keys.tolist())) != len(ordered):
             raise InputError("boundary table has duplicate dates")
 
+    def term_indices(self, dates) -> np.ndarray:
+        """Term index of each date: that of the last boundary at or before its
+        (month, day).  Dates before the year's first boundary wrap around to
+        the last term of the calendar year (index -1 of the sorted keys)."""
+        keys = np.array([100 * day.month + day.day for day in dates], dtype=np.int64)
+        return self._terms[np.searchsorted(self._keys, keys, side="right") - 1]
+
     def term_index_of(self, date: dt.date) -> int:
-        key = (date.month, date.day)
-        # Last boundary at or before the date; dates before the year's first
-        # boundary wrap around to the last term of the calendar year.
-        idx = self._sorted[-1][2]
-        for month, day, term_idx in self._sorted:
-            if (month, day) <= key:
-                idx = term_idx
-            else:
-                break
-        return idx
+        return int(self.term_indices([date])[0])
 
 
 def term_of_date(date: dt.date, table: TermBoundaryTable | None = None) -> SolarTerm:
@@ -105,10 +105,13 @@ def encode_term(term: SolarTerm) -> np.ndarray:
     return bits
 
 
+TERM_CODES = np.stack([encode_term(term) for term in ALL_TERMS])  # [24, 10], row = term index
+TERM_CODES.flags.writeable = False
+
+
 def encode_date_range(start: dt.date, days: int, table: TermBoundaryTable | None = None) -> np.ndarray:
     """Encode `days` consecutive dates from `start` as a days x 10 bit matrix."""
     if days < 1:
         raise InputError(f"days must be >= 1, got {days}")
     table = table if table is not None else TermBoundaryTable()
-    rows = [encode_term(term_of_date(start + dt.timedelta(days=i), table)) for i in range(days)]
-    return np.stack(rows)
+    return TERM_CODES[table.term_indices(start + dt.timedelta(days=i) for i in range(days))]

@@ -4,6 +4,7 @@ Everything here is deliberately written with plain Python loops, separate from
 the vectorized library code it checks.
 """
 
+import datetime as dt
 import math
 
 import numpy as np
@@ -94,3 +95,60 @@ def plan_profit_reference(chromosome, contexts) -> float:
         sold = min(alloc, demand)
         total += price * sold - ctx.unit_cost * alloc
     return total
+
+
+def term_index_reference(date: dt.date, entries) -> int:
+    """Index of the term whose boundary is the last one at or before the date's
+    (month, day) in a list of 24 (month, day) boundaries; a date before every
+    boundary belongs to the term of the latest boundary in the calendar year."""
+    key = (date.month, date.day)
+    latest = max(range(len(entries)), key=lambda i: entries[i])
+    best = None
+    for idx, boundary in enumerate(entries):
+        if boundary <= key and (best is None or boundary > entries[best]):
+            best = idx
+    return latest if best is None else best
+
+
+def term_bits_reference(index: int) -> list[float]:
+    """Two-hot 10-bit code of term `index`: season bit, then position bit."""
+    bits = [0.0] * 10
+    bits[index // 6] = 1.0
+    bits[4 + index % 6] = 1.0
+    return bits
+
+
+def windows_reference(dates, scaled, entries, input_days: int, horizon: int):
+    """Every one-day-stride window of an already scaled series, one at a time:
+    (history, term bits of the target days, target, anchor date) tuples."""
+    samples = []
+    for k in range(len(dates) - input_days - horizon + 1):
+        anchor = dates[k + input_days]
+        terms = [term_bits_reference(term_index_reference(anchor + dt.timedelta(days=i), entries))
+                 for i in range(horizon)]
+        samples.append((np.array(scaled[k:k + input_days]), np.array(terms),
+                        np.array(scaled[k + input_days:k + input_days + horizon]), anchor))
+    return samples
+
+
+def adam_reference(params, grads_per_step, lr: float, beta1: float = 0.9,
+                   beta2: float = 0.999, eps: float = 1e-8):
+    """Adam tensor by tensor: the parameter values after each step.
+
+    `grads_per_step` lists one gradient (or None, which leaves that tensor and
+    its moments as they are) per parameter and step."""
+    data = [np.array(p, dtype=np.float64) for p in params]
+    m = [np.zeros_like(p) for p in data]
+    v = [np.zeros_like(p) for p in data]
+    history = []
+    for t, grads in enumerate(grads_per_step, start=1):
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            m_hat = m[i] / (1.0 - beta1 ** t)
+            v_hat = v[i] / (1.0 - beta2 ** t)
+            data[i] = data[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        history.append([d.copy() for d in data])
+    return history

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import adam_reference
 
 from freshplan import autodiff as ad
 from freshplan.autodiff import Adam, ParamSet, Tensor
@@ -31,6 +32,14 @@ def test_grad_accumulates_over_shared_subexpressions():
     y = x * x + x * x  # 2x^2, dy/dx = 4x
     ad.backward(y)
     assert x.grad == pytest.approx(8.0)
+
+
+def test_tensors_that_need_no_gradient_get_none():
+    x = Tensor(np.array([1.0, 2.0]))  # a raw input: not requires_grad, no backward
+    w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    ad.backward(ad.mean(x * w))
+    assert x.grad is None
+    assert w.grad.tolist() == [0.5, 1.0]
 
 
 def test_matmul_batch_gradients_match_fd():
@@ -69,6 +78,24 @@ class TestAdam:
             ad.backward(loss)
             opt.step()
         assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    def test_flat_step_matches_per_tensor_reference(self):
+        rng = np.random.default_rng(4)
+        shapes = [(3, 2), (), (4,), (2, 1, 3)]
+        init = [rng.normal(size=shape) for shape in shapes]
+        tensors = [Tensor(x.copy(), requires_grad=True) for x in init]
+        opt = Adam(ParamSet([(f"p{i}", t) for i, t in enumerate(tensors)]), lr=0.05)
+        # Tensor 1 has no gradient on every third step, the first included.
+        grads = [[None if i == 1 and step % 3 == 0 else rng.normal(size=shape)
+                  for i, shape in enumerate(shapes)] for step in range(20)]
+        for step_grads, expected in zip(grads, adam_reference(init, grads, lr=0.05)):
+            for tensor, g in zip(tensors, step_grads):
+                if g is not None:
+                    tensor.accumulate(g)
+            opt.step()
+            for tensor, want in zip(tensors, expected):
+                assert tensor.data.shape == want.shape
+                assert tensor.data.tobytes() == want.tobytes()
 
     def test_step_zeroes_grads(self):
         p = Tensor(1.0, requires_grad=True)

@@ -1,4 +1,5 @@
 import datetime as dt
+import pickle
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ class TestTrain:
         with pytest.raises(InputError, match="empty samples"):
             train(model, [], epochs=1, lr=1e-3, seed=0)
 
+    def test_unpickled_trained_model_predicts_same_bytes(self):
+        frame = toy_frame()
+        model, windows = toy_model(frame)
+        train(model, windows, epochs=5, lr=1e-2, seed=0, batch_size=8)
+        copy = pickle.loads(pickle.dumps(model))
+        for ours, theirs in zip(model.params().tensors(), copy.params().tensors()):
+            assert ours.data.tobytes() == theirs.data.tobytes()
+        for k in (0, len(windows) - 1):
+            assert predict(copy, frame.values[k:k + 15], windows.terms[k]).tobytes() == \
+                   predict(model, frame.values[k:k + 15], windows.terms[k]).tobytes()
+
     def test_loss_finite_every_epoch(self):
         model, windows = toy_model(toy_frame())
         report = train(model, windows, epochs=30, lr=1e-2, seed=0, batch_size=8)
@@ -72,28 +84,27 @@ class TestPredict:
         model, windows = toy_model(frame)
         model.head.weights.data[:] = 0.0
         model.head.bias.data[:] = 0.25
-        out = predict(model, frame.values[:15], windows[0].future_terms)
+        out = predict(model, frame.values[:15], windows.terms[0])
         assert np.allclose(out, model.normalizer.inverse(0.25))
 
     def test_memorized_window_predicts_its_target(self):
         frame = toy_frame()
         model, windows = toy_model(frame)
         train(model, windows[:1], epochs=200, lr=1e-2, seed=0)
-        sample = windows[0]
-        raw_history = model.normalizer.inverse(sample.history)
-        raw_target = model.normalizer.inverse(sample.target)
-        out = predict(model, raw_history, sample.future_terms)
+        raw_history = model.normalizer.inverse(windows.histories[0])
+        raw_target = model.normalizer.inverse(windows.targets[0])
+        out = predict(model, raw_history, windows.terms[0])
         assert np.max(np.abs(out - raw_target) / np.abs(raw_target)) < 0.02
 
     def test_output_length_seven(self):
         frame = toy_frame()
         model, windows = toy_model(frame)
-        assert predict(model, frame.values[-15:], windows[-1].future_terms).shape == (7,)
+        assert predict(model, frame.values[-15:], windows.terms[-1]).shape == (7,)
 
     def test_wrong_history_length_rejected(self):
         model, windows = toy_model(toy_frame())
         with pytest.raises(InputError):
-            predict(model, np.ones(14), windows[0].future_terms)
+            predict(model, np.ones(14), windows.terms[0])
 
 
 class TestGradientOracle:
@@ -101,10 +112,9 @@ class TestGradientOracle:
         frame = toy_frame()
         model, windows = toy_model(frame, seed=123,
                                    config=ModelConfig(channels=5, kernel_size=3, dilations=[1, 2]))
-        sample = windows[0]
-        h = sample.history[None, :, None]
-        t = sample.future_terms[None, :, :]
-        y = sample.target[None, :]
+        h = windows.histories[:1, :, None]
+        t = windows.terms[:1]
+        y = windows.targets[:1]
 
         def loss_fn():
             pred = model.forward(ad.Tensor(h), ad.Tensor(t))

@@ -189,3 +189,23 @@ def test_attention_node_gradients_match_fd():
                 return ad.mean((layers.attention_fuse_graph(x1, x2) - target) ** 2)
 
             assert ad.finite_difference_check(loss_fn, [x1, x2]) < 1e-6
+
+
+def test_block_skips_only_the_gradient_of_an_input_that_needs_none():
+    rng = np.random.default_rng(11)
+    for c_in, c_out in ((3, 3), (2, 3)):
+        for dilation in (1, 3):
+            block = layers.ResidualBlock.create(rng, 3, c_in, c_out, dilation)
+            params = [block.conv.kernel, block.conv.bias]
+            params += [] if block.projection is None else [block.projection]
+            data = rng.normal(size=(2, 5, c_in))
+            target = Tensor(rng.normal(size=(2, 5, c_out)))
+            grads = {}
+            for needs in (True, False):
+                x = Tensor(data, requires_grad=needs)
+                ad.backward(ad.mean((block.apply(x) - target) ** 2))
+                assert (x.grad is not None) == needs
+                grads[needs] = [p.grad.tobytes() for p in params]
+                for p in params:
+                    p.zero_grad()
+            assert grads[True] == grads[False]

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import windows_reference
 
 from freshplan import pipeline
 from freshplan.errors import InputError
@@ -19,6 +20,7 @@ from freshplan.pipeline import (
     write_costs,
     write_sales,
 )
+from freshplan.solarterms import DEFAULT_BOUNDARIES, TermBoundaryTable
 
 
 MICRO_UNITS = st.integers(0, 10**12).map(lambda k: k / 1e6)  # exact at the writers' 6 decimals
@@ -89,12 +91,48 @@ class TestWindows:
         frame = frame_of(np.arange(30.0))
         normalizer = fit_normalizer(frame.values)
         scaled = normalizer.normalize(frame.values)
-        for k, sample in enumerate(make_windows(frame)):
-            joined = np.concatenate([sample.history, sample.target])
+        windows = make_windows(frame)
+        for k in range(len(windows)):
+            joined = np.concatenate([windows.histories[k], windows.targets[k]])
             assert np.array_equal(joined, scaled[k:k + 22])
-            assert sample.anchor_date == frame.dates[k + 15]
-            assert sample.future_terms.shape == (7, 10)
-            assert np.all(sample.future_terms.sum(axis=1) == 2)
+            assert windows.anchor_dates[k] == frame.dates[k + 15]
+            assert windows.terms[k].shape == (7, 10)
+            assert np.all(windows.terms[k].sum(axis=1) == 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(22, 400), start=st.dates(dt.date(2023, 9, 1), dt.date(2024, 3, 1)),
+           shift=st.integers(-20, 20), seed=st.integers(0, 2**32 - 1))
+    @example(length=22, start=dt.date(2023, 12, 14), shift=0, seed=0)  # targets Dec 29 - Jan 4
+    @example(length=22, start=dt.date(2024, 2, 10), shift=0, seed=0)  # targets Feb 25 - Mar 2
+    @example(length=22, start=dt.date(2024, 2, 10), shift=5, seed=1)
+    def test_matches_per_window_reference(self, length, start, shift, seed):
+        # shift 0 is the default table; others move every boundary by `shift` days.
+        moved = [dt.date(2001, m, d) + dt.timedelta(days=shift) for m, d in DEFAULT_BOUNDARIES]
+        entries = [(day.month, day.day) for day in moved]
+        rng = np.random.default_rng(seed)
+        frame = frame_of(rng.uniform(0.0, 10.0, length), start=start)
+        # Fit on a prefix, as A7 does, so scaled values also fall outside [0, 1].
+        normalizer = fit_normalizer(frame.values[:length // 2 + 1])
+        windows = make_windows(frame, TermBoundaryTable(entries), normalizer=normalizer)
+        reference = windows_reference(frame.dates, normalizer.normalize(frame.values), entries, 15, 7)
+        for arr in (windows.histories, windows.terms, windows.targets):
+            assert arr.flags.c_contiguous
+        cut = int(rng.integers(0, len(reference) + 1))
+        for part, samples in ((windows, reference), (windows[:cut], reference[:cut]),
+                              (windows[cut:], reference[cut:])):
+            assert len(part) == len(samples)
+            assert part.histories.shape == (len(samples), 15)
+            assert part.terms.shape == (len(samples), 7, 10)
+            assert part.targets.shape == (len(samples), 7)
+            assert part.anchor_dates == [anchor for *_, anchor in samples]
+            for k, (history, terms, target, _) in enumerate(samples):
+                assert np.array_equal(part.histories[k], history)
+                assert np.array_equal(part.terms[k], terms)
+                assert np.array_equal(part.targets[k], target)
+
+    def test_integer_index_rejected(self):
+        with pytest.raises(TypeError):
+            make_windows(frame_of(range(30)))[0]
 
 
 class TestSynthetic:
