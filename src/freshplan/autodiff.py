@@ -6,9 +6,10 @@ local derivative during the backward sweep.  Scalars are tensors of shape ();
 `backward` may only be started from one of those.  The op set is exactly what
 the forecasting model needs rather than a general broadcasting engine:
 elementwise `add`, `sub`, `mul` and `pow_const`, `matmul` with stacked batch
-dimensions, and `mean`.  They build the dense head and the loss; the residual
-blocks and the attention fusion are single nodes with their own backward
-(`layers.py`), made with the same `Tensor` constructor.
+dimensions, and `mean`; `+`, `-`, `*` and `**` on a left-hand `Tensor` are
+shorthand for the elementwise four.  They build the dense head and the loss;
+the residual blocks and the attention fusion are single nodes with their own
+backward (`layers.py`), made with the same `Tensor` constructor.
 
 A tensor needs a gradient when it is `requires_grad` or has a `_backward`;
 `accumulate` drops what arrives for any other tensor (raw inputs, targets), and
@@ -76,24 +77,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, _lift(other))
 
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
 
     def __pow__(self, exponent):
         return pow_const(self, float(exponent))

@@ -1,17 +1,20 @@
 """Command-line pipeline: synth, forecast, intervals, rank, optimize, evaluate.
 
 Every stage reads/writes CSV artifacts under the output directory and is
-deterministic given the top-level seed.  `forecast` and `intervals` train one
-model per task (product, or product and replica) in a pool of worker
-processes, one per CPU this process may use; every task draws only from its
-own seed and results come back in task order, so the artifacts are the same
-bytes at any worker count.
+deterministic given the top-level seed.  `forecast` and `intervals` build one
+`forecaster.FitTask` per model (product, or product and replica) and map
+`forecaster.fit_and_forecast` over them in a pool of worker processes, one per
+CPU this process may use.  A worker sends back the task's 7 forecasts and loss
+curve, never a model.  Every task draws only from its own seeds and results
+come back in task order, so the artifacts are the same bytes at any worker
+count.
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import datetime as dt
@@ -29,7 +32,7 @@ from . import forecaster, gaopt, intervals as intervals_mod, mcdm, pipeline
 from .config import RunConfig, RunManifest, derive_seed, load_config
 from .errors import InputError, InvariantError
 from .forecaster import ModelConfig
-from .solarterms import TermBoundaryTable, encode_date_range
+from .solarterms import TermBoundaryTable
 
 log = logging.getLogger("freshplan")
 
@@ -76,6 +79,11 @@ def cmd_synth(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     log.info("synth: %d products x %d days", config.synth.products, config.synth.days)
 
 
+def _run_chunk(fn, chunk: list) -> list:
+    """`fn` over one chunk of tasks, in a worker process."""
+    return [fn(task) for task in chunk]
+
+
 @contextlib.contextmanager
 def _task_map(n_tasks: int):
     """A map over `n_tasks` tasks that yields results lazily in task order, and
@@ -84,10 +92,11 @@ def _task_map(n_tasks: int):
     At one worker the map is the builtin `map` in this process; above that it
     runs the tasks in forked worker processes.  Tasks go out in chunks of a
     quarter of each worker's share, which keeps the workers evenly loaded, and
-    of at most 8 tasks, so that few finished results wait in this process for
-    the caller to read them.  A task's exception is raised where its result is
-    read, as in a serial run, and on leaving the block the tasks still queued
-    are dropped.
+    of at most 8 tasks.  The map takes the next chunk from its iterable only
+    while fewer than 4 chunks per worker are sent and unread, so that neither
+    built tasks nor finished results pile up in this process.  A task's
+    exception is raised where its result is read, as in a serial run, and on
+    leaving the block the tasks still queued are dropped.
     """
     workers = min(len(os.sched_getaffinity(0)), n_tasks)
     if workers <= 1:
@@ -102,33 +111,21 @@ def _task_map(n_tasks: int):
     # runs no other thread, and a fork-context pool forks all its workers
     # before it starts its own manager thread.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    chunksize = min(8, max(1, n_tasks // (4 * workers)))
+
+    def pool_map(fn, tasks):
+        tasks, sent = iter(tasks), collections.deque()
+        while chunk := list(itertools.islice(tasks, chunksize)):
+            sent.append(pool.submit(_run_chunk, fn, chunk))
+            if len(sent) == 4 * workers:
+                yield from sent.popleft().result()
+        while sent:
+            yield from sent.popleft().result()
+
     try:
-        chunksize = min(8, max(1, n_tasks // (4 * workers)))
-        yield functools.partial(pool.map, chunksize=chunksize), workers
+        yield pool_map, workers
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _deploy_forecast(task: tuple[pipeline.SeriesFrame, TermBoundaryTable, RunConfig]
-                     ) -> tuple[np.ndarray, list[float]]:
-    """Train one product's deploy forecaster; its next-week costs and loss curve."""
-    frame, table, config = task
-    seed = derive_seed(config.seed, "forecast", frame.product_id)
-    normalizer = pipeline.fit_normalizer(frame.values)
-    windows = pipeline.make_windows(frame, table, config.window.input_days,
-                                    config.window.horizon_days, normalizer)
-    model_cfg = ModelConfig(channels=config.tcn.channels, kernel_size=config.tcn.kernel,
-                            dilations=list(config.tcn.dilations))
-    model = forecaster.ForecasterModel.create(normalizer, frame.product_id, seed, model_cfg)
-    batch_size = config.train.batch_size if config.train.batch_size > 0 else None
-    report = forecaster.train(model, windows, epochs=config.train.epochs,
-                              lr=config.train.lr, seed=derive_seed(seed, "order"),
-                              batch_size=batch_size)
-    first_day = frame.dates[-1] + dt.timedelta(days=1)
-    terms = encode_date_range(first_day, config.window.horizon_days, table)
-    history = frame.values[-config.window.input_days:]
-    return (forecaster.predict(model, history, terms, config.window.input_days),
-            report.loss_curve)
 
 
 def _usable_frames(frames: dict[str, pipeline.SeriesFrame], need: int,
@@ -152,8 +149,18 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
 
     usable, skipped = _usable_frames(
         frames, config.window.input_days + config.window.horizon_days, "forecast")
-    with _task_map(len(usable)) as (task_map, jobs):
-        results = list(task_map(_deploy_forecast, [(frame, table, config) for frame in usable]))
+    model_cfg = ModelConfig(channels=config.tcn.channels, kernel_size=config.tcn.kernel,
+                            dilations=list(config.tcn.dilations))
+    batch_size = config.train.batch_size if config.train.batch_size > 0 else None
+    tasks = []
+    for frame in usable:
+        seed = derive_seed(config.seed, "forecast", frame.product_id)
+        history, terms = forecaster.next_week(frame, table, config.window.input_days)
+        tasks.append(forecaster.FitTask(frame, table, model_cfg, seed, derive_seed(seed, "order"),
+                                        config.train.epochs, config.train.lr, batch_size,
+                                        history, terms))
+    with _task_map(len(tasks)) as (task_map, jobs):
+        results = list(task_map(forecaster.fit_and_forecast, tasks))
     rows, curve_rows = [], []
     for frame, (predicted, loss_curve) in zip(usable, results):
         pid, first_day = frame.product_id, frame.dates[-1] + dt.timedelta(days=1)
@@ -183,8 +190,8 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
                            dilations=list(config.bootstrap.dilations))
     usable, skipped = _usable_frames(
         qty_frames, config.window.input_days + config.window.horizon_days, "intervals")
-    # One flat task list, so that one product's replicas also spread over the workers.
-    tasks = [task for frame in usable for task in intervals_mod.replica_tasks(
+    # One flat task stream, so that one product's replicas also spread over the workers.
+    tasks = (task for frame in usable for task in intervals_mod.replica_tasks(
         frame,
         replicas=config.bootstrap.replicas,
         min_fraction=config.bootstrap.min_fraction,
@@ -194,32 +201,21 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
         epochs=config.bootstrap.epochs,
         lr=config.bootstrap.lr,
         input_days=config.window.input_days,
-    )]
-
+    ))
+    with _task_map(len(usable) * config.bootstrap.replicas) as (task_map, jobs):
+        weeks = [week for week, _ in task_map(forecaster.fit_and_forecast, tasks)]
+    level = config.bootstrap.level
+    z = intervals_mod.z_for_level(level)
     rows, daily_rows = [], []
-    z = intervals_mod.z_for_level(config.bootstrap.level)
-    with _task_map(len(tasks)) as (task_map, jobs):
-        trained = task_map(intervals_mod.train_replica, tasks)
-        for frame in usable:
-            # Read one product's models at a time and drop them after use.
-            pid = frame.product_id
-            ensemble = intervals_mod.ensemble_of(
-                pid, list(itertools.islice(trained, config.bootstrap.replicas)),
-                config.window.input_days)
-            history = frame.values[-config.window.input_days:]
-            first_day = frame.dates[-1] + dt.timedelta(days=1)
-            terms = encode_date_range(first_day, config.window.horizon_days, table)
-            interval = intervals_mod.predict_interval(ensemble, history, terms,
-                                                      level=config.bootstrap.level)
-            rows.append([pid, _fmt(interval.level), _fmt(interval.mean), _fmt(interval.std),
-                         _fmt(interval.lower), _fmt(interval.upper)])
-            for day in range(interval.daily.shape[1]):
-                day_mean = float(interval.daily[:, day].mean())
-                day_std = float(interval.daily[:, day].std())
-                daily_rows.append([pid, _fmt(interval.level), str(day),
-                                   _fmt(day_mean), _fmt(day_std),
-                                   _fmt(max(0.0, day_mean - z * day_std)),
-                                   _fmt(day_mean + z * day_std)])
+    for frame, daily in zip(usable, np.reshape(
+            weeks, (len(usable), config.bootstrap.replicas, config.window.horizon_days))):
+        pid = frame.product_id
+        interval = intervals_mod.fit_interval(pid, daily, level)
+        rows.append([pid, _fmt(level), *map(_fmt, (interval.mean, interval.std,
+                                                   interval.lower, interval.upper))])
+        for day in range(interval.daily.shape[1]):
+            day_fit = intervals_mod.normal_fit(interval.daily[:, day], z)
+            daily_rows.append([pid, _fmt(level), str(day), *map(_fmt, day_fit)])
 
     intervals_path = out_dir / config.paths.intervals
     _write_csv(intervals_path, INTERVALS_HEADER, rows)

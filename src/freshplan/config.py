@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,15 +109,25 @@ class RunConfig:
             (self.window.horizon_days == 7, "window.horizon_days must be 7"),
             (self.tcn.kernel >= 1, "tcn.kernel must be >= 1"),
             (self.tcn.channels >= 1, "tcn.channels must be >= 1"),
+            (min(self.tcn.dilations, default=0) >= 1,
+             "tcn.dilations must be non-empty, each >= 1"),
             (self.train.epochs >= 0, "train.epochs must be >= 0"),
+            (0.0 < self.train.lr < math.inf, "train.lr must be finite and > 0"),
             (self.train.batch_size >= 0, "train.batch_size must be >= 0 (0 = full batch)"),
             (self.bootstrap.replicas >= 1, "bootstrap.replicas must be >= 1"),
             (0.0 < self.bootstrap.min_fraction <= 1.0, "bootstrap.min_fraction must be in (0, 1]"),
             (0.0 < self.bootstrap.level < 1.0, "bootstrap.level must be in (0, 1)"),
+            (self.bootstrap.channels >= 1, "bootstrap.channels must be >= 1"),
+            (min(self.bootstrap.dilations, default=0) >= 1,
+             "bootstrap.dilations must be non-empty, each >= 1"),
+            (self.bootstrap.epochs >= 0, "bootstrap.epochs must be >= 0"),
+            (0.0 < self.bootstrap.lr < math.inf, "bootstrap.lr must be finite and > 0"),
             (self.topsis.top_k >= 1, "topsis.top_k must be >= 1"),
             (self.ga.pop >= 2, "ga.pop must be >= 2"),
             (self.ga.gens >= 1, "ga.gens must be >= 1"),
             (self.ga.tournament >= 1, "ga.tournament must be >= 1"),
+            # evolve carries over at most the one best individual
+            (self.ga.elitism in (0, 1), "ga.elitism must be 0 or 1"),
             (0.0 <= self.ga.crossover_rate <= 1.0, "ga.crossover_rate must be in [0, 1]"),
             (0.0 <= self.ga.mutation_prob <= 1.0, "ga.mutation_prob must be in [0, 1]"),
             (self.ga.sigma_fraction >= 0.0, "ga.sigma_fraction must be >= 0"),

@@ -3,11 +3,13 @@
 One branch convolves the scaled 15-day cost history, the other the 7x10
 solar-term bit matrix of the target week; attention fuses both into a single
 feature row and an affine head emits the 7 scaled daily costs.  Training
-minimizes MSE on scaled targets with Adam, full-batch by default.
+minimizes MSE on scaled targets with Adam, full-batch by default.  Both
+training stages run `fit_and_forecast` on a `FitTask`: numbers out, no model.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +18,9 @@ from . import autodiff as ad
 from . import layers
 from .autodiff import Adam, ParamSet, Tensor
 from .errors import InputError, InvariantError
-from .pipeline import HORIZON_DAYS, INPUT_DAYS, Normalizer, Windows
+from .pipeline import (HORIZON_DAYS, INPUT_DAYS, Normalizer, SeriesFrame, Windows,
+                       fit_normalizer, make_windows)
+from .solarterms import TermBoundaryTable, encode_date_range
 
 TERM_WIDTH = 10
 
@@ -136,6 +140,49 @@ def predict(model: ForecasterModel, history, future_terms,
     scaled = model.normalizer.normalize(history)
     out = model.predict_scaled(scaled[None, :], future_terms[None, :, :])
     return model.normalizer.inverse(out[0])
+
+
+@dataclass(frozen=True)
+class FitTask:
+    """One model to train on `series`, and the `predict` inputs of the week it
+    forecasts; `len(history)` is also the window length trained on."""
+
+    series: SeriesFrame
+    table: TermBoundaryTable
+    config: ModelConfig
+    model_seed: int
+    order_seed: int
+    epochs: int
+    lr: float
+    batch_size: int | None
+    history: np.ndarray
+    terms: np.ndarray
+
+
+def next_week(frame: SeriesFrame, table: TermBoundaryTable,
+              input_days: int = INPUT_DAYS) -> tuple[np.ndarray, np.ndarray]:
+    """`history` and `terms` of the week after `frame` ends: its last
+    `input_days` values and the term bits of the 7 days that follow."""
+    first_day = frame.dates[-1] + dt.timedelta(days=1)
+    return frame.values[-input_days:], encode_date_range(first_day, HORIZON_DAYS, table)
+
+
+def fit(task: FitTask) -> tuple[ForecasterModel, TrainReport]:
+    """Train a model on every window of `task.series`, scaled by a normalizer
+    fit on the whole series."""
+    series = task.series
+    normalizer = fit_normalizer(series.values)
+    windows = make_windows(series, task.table, len(task.history), HORIZON_DAYS, normalizer)
+    model = ForecasterModel.create(normalizer, series.product_id, task.model_seed, task.config)
+    report = train(model, windows, epochs=task.epochs, lr=task.lr, seed=task.order_seed,
+                   batch_size=task.batch_size)
+    return model, report
+
+
+def fit_and_forecast(task: FitTask) -> tuple[np.ndarray, list[float]]:
+    """`fit` the task, then its week's 7 raw forecasts and the loss curve."""
+    model, report = fit(task)
+    return predict(model, task.history, task.terms, len(task.history)), report.loss_curve
 
 
 @dataclass

@@ -196,8 +196,8 @@ def _tournament_pick(fits: np.ndarray, size: int, rng: np.random.Generator) -> i
 
 
 def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> GaResult:
-    """Run the GA; the best individual is carried over unconditionally, so the
-    best fitness in the trace is non-decreasing."""
+    """Run the GA.  Only with `elitism` 1 is the best individual so far carried
+    over, in place of the worst child, so that the trace's best never falls."""
     if not contexts:
         raise InputError("no product contexts")
     if all(ctx.interval.upper <= 0.0 for ctx in contexts):

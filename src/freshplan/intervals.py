@@ -6,12 +6,14 @@ confidence interval.  The interval target is the weekly total because that is
 what the downstream allocation constraint binds; per-day statistics are kept
 as auxiliary output.
 
-Training is split into `replica_tasks`, which checks the inputs and lists one
-`ReplicaTask` per replica, and `train_replica`, which draws that replica's
-slice and seeds from `SeedSequence([seed, 577, r])` alone and trains it.  A
-replica therefore depends on nothing but its task, so any map over the tasks
-gives the same models: `bootstrap_train` uses the builtin `map`, and the CLI
-maps `train_replica` over every product's tasks in a process pool.
+`replica_tasks` checks the inputs and draws each replica's slice and seeds
+from `SeedSequence([seed, 577, r])` into one `forecaster.FitTask` per replica.
+A replica depends on nothing but its task, so any map over the tasks gives the
+same results: `bootstrap_train` fits them in turn and keeps the models, and the
+CLI maps `forecaster.fit_and_forecast` over every product's tasks in a process
+pool and gets back 7 numbers per replica.  `fit_interval` turns the
+`[replicas, 7]` matrix of those forecasts into the interval, with the one
+normal fit (`normal_fit`) that also gives the per-day statistics.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from . import forecaster
 from .errors import InputError
-from .forecaster import ForecasterModel, ModelConfig
-from .pipeline import HORIZON_DAYS, INPUT_DAYS, SeriesFrame, fit_normalizer, make_windows
+from .forecaster import FitTask, ForecasterModel, ModelConfig
+from .pipeline import HORIZON_DAYS, INPUT_DAYS, SeriesFrame
 from .solarterms import TermBoundaryTable
 
 
@@ -59,16 +61,9 @@ class SalesInterval:
 
 
 @dataclass
-class ReplicaSlice:
-    start: int
-    length: int
-
-
-@dataclass
 class BootstrapEnsemble:
     product_id: str
     models: list[ForecasterModel]
-    slices: list[ReplicaSlice]
     input_days: int = INPUT_DAYS
 
 
@@ -76,22 +71,6 @@ class BootstrapEnsemble:
 # diversity, not on per-replica depth.
 REPLICA_CONFIG = ModelConfig(channels=8, dilations=[1])
 REPLICA_EPOCHS = 30
-
-
-@dataclass(frozen=True)
-class ReplicaTask:
-    """Everything `train_replica` needs to train replica `replica` of `sales`."""
-
-    sales: SeriesFrame
-    replica: int
-    min_len: int
-    seed: int
-    table: TermBoundaryTable
-    config: ModelConfig
-    epochs: int
-    lr: float
-    batch_size: int | None
-    input_days: int
 
 
 def replica_tasks(
@@ -105,9 +84,11 @@ def replica_tasks(
     lr: float = 1e-2,
     batch_size: int | None = 64,
     input_days: int = INPUT_DAYS,
-) -> list[ReplicaTask]:
+) -> list[FitTask]:
     """One task per replica, each training on a contiguous random slice
-    covering at least `min_fraction` of the series."""
+    covering at least `min_fraction` of the series and forecasting the week
+    after the whole series.  Replica r draws its slice length, slice start,
+    model seed and order seed, in that order, from (seed, r)."""
     if replicas < 1:
         raise InputError(f"replicas must be >= 1, got {replicas}")
     if not 0.0 < min_fraction <= 1.0:
@@ -119,25 +100,17 @@ def replica_tasks(
                          f"{input_days + HORIZON_DAYS}-day training slice")
     table = table if table is not None else TermBoundaryTable()
     config = config if config is not None else REPLICA_CONFIG
-    return [ReplicaTask(sales, r, min_len, seed, table, config, epochs, lr, batch_size,
-                        input_days) for r in range(replicas)]
-
-
-def train_replica(task: ReplicaTask) -> tuple[ForecasterModel, ReplicaSlice]:
-    """Draw the replica's slice length, slice start, model seed and order seed,
-    in that order, from (seed, r), and train the replica on that slice."""
-    n = len(task.sales)
-    rng = np.random.default_rng(np.random.SeedSequence([task.seed, 577, task.replica]))
-    length = int(rng.integers(task.min_len, n + 1))
-    start = int(rng.integers(0, n - length + 1))
-    piece = task.sales.slice(start, start + length)
-    normalizer = fit_normalizer(piece.values)
-    windows = make_windows(piece, task.table, input_days=task.input_days, normalizer=normalizer)
-    model = ForecasterModel.create(normalizer, task.sales.product_id,
-                                   seed=int(rng.integers(0, 2**31)), config=task.config)
-    forecaster.train(model, windows, epochs=task.epochs, lr=task.lr,
-                     seed=int(rng.integers(0, 2**31)), batch_size=task.batch_size)
-    return model, ReplicaSlice(start=start, length=length)
+    history, terms = forecaster.next_week(sales, table, input_days)
+    tasks = []
+    for r in range(replicas):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 577, r]))
+        length = int(rng.integers(min_len, n + 1))
+        start = int(rng.integers(0, n - length + 1))
+        model_seed = int(rng.integers(0, 2**31))
+        order_seed = int(rng.integers(0, 2**31))
+        tasks.append(FitTask(sales.slice(start, start + length), table, config, model_seed,
+                             order_seed, epochs, lr, batch_size, history, terms))
+    return tasks
 
 
 def bootstrap_train(
@@ -157,14 +130,31 @@ def bootstrap_train(
     """
     tasks = replica_tasks(sales, replicas, min_fraction, seed, table, config, epochs, lr,
                           batch_size, input_days)
-    return ensemble_of(sales.product_id, list(map(train_replica, tasks)), input_days)
+    return BootstrapEnsemble(sales.product_id, [forecaster.fit(task)[0] for task in tasks],
+                             input_days)
 
 
-def ensemble_of(product_id: str, trained: list[tuple[ForecasterModel, ReplicaSlice]],
-                input_days: int = INPUT_DAYS) -> BootstrapEnsemble:
-    """The ensemble of one product's `train_replica` results, in replica order."""
-    return BootstrapEnsemble(product_id, [model for model, _ in trained],
-                             [piece for _, piece in trained], input_days=input_days)
+def normal_fit(samples: np.ndarray, z: float) -> tuple[float, float, float, float]:
+    """Mean, std and the bounds mean -/+ z * std of a normal fit to `samples`;
+    the lower bound is clamped at zero, as sales cannot be negative."""
+    mean = float(samples.mean())
+    std = float(samples.std())
+    return mean, std, max(0.0, mean - z * std), mean + z * std
+
+
+def fit_interval(product_id: str, daily: np.ndarray, level: float = 0.95) -> SalesInterval:
+    """Normal-fit interval over the replicas' 7-day total sales, from their
+    `[replicas, 7]` daily predictions.
+
+    Daily predictions are clamped at zero (sales volumes cannot be negative),
+    so mean >= 0 and the lower bound never exceeds the mean.
+    """
+    if len(daily) == 0:
+        raise InputError("empty ensemble")
+    daily = np.maximum(daily, 0.0)
+    mean, std, lower, upper = normal_fit(daily.sum(axis=1), z_for_level(level))
+    return SalesInterval(product_id=product_id, mean=mean, std=std, lower=lower, upper=upper,
+                         level=level, daily=daily)
 
 
 def predict_interval(
@@ -173,26 +163,7 @@ def predict_interval(
     future_terms,
     level: float = 0.95,
 ) -> SalesInterval:
-    """Normal-fit interval over the replicas' 7-day total sales predictions.
-
-    Daily predictions are clamped at zero (sales volumes cannot be negative),
-    so mean >= 0 and the lower bound never exceeds the mean.
-    """
-    if not ensemble.models:
-        raise InputError("empty ensemble")
-    z = z_for_level(level)
-    daily = np.stack([
-        np.maximum(forecaster.predict(m, history, future_terms, ensemble.input_days), 0.0)
-        for m in ensemble.models])
-    totals = daily.sum(axis=1)
-    mean = float(totals.mean())
-    std = float(totals.std())
-    return SalesInterval(
-        product_id=ensemble.product_id,
-        mean=mean,
-        std=std,
-        lower=max(0.0, mean - z * std),
-        upper=mean + z * std,
-        level=level,
-        daily=daily,
-    )
+    """`fit_interval` over the ensemble's forecasts from `history` and `future_terms`."""
+    daily = [forecaster.predict(m, history, future_terms, ensemble.input_days)
+             for m in ensemble.models]
+    return fit_interval(ensemble.product_id, np.reshape(daily, (-1, HORIZON_DAYS)), level)

@@ -1,4 +1,5 @@
 import csv
+import datetime as dt
 import gc
 import multiprocessing
 import os
@@ -10,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freshplan import cli, forecaster, intervals
-from freshplan.config import RunConfig, RunManifest, load_config
+from freshplan import cli, forecaster, intervals, pipeline
+from freshplan.config import RunConfig, RunManifest, derive_seed, load_config
 from freshplan.errors import InputError, InvariantError
+from freshplan.forecaster import ModelConfig
+from freshplan.solarterms import encode_date_range
 
 
 def tiny_config(**extra) -> RunConfig:
@@ -36,6 +39,12 @@ def tiny_config(**extra) -> RunConfig:
 def read_table(path: Path) -> list[dict]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def read_rows(path: Path) -> list[list[str]]:
+    """The rows of a CSV file after its header, as strings."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
 
 
 @pytest.fixture(scope="module")
@@ -398,31 +407,77 @@ class TestWorkerPool:
                    (tmp_path / "2" / artifact).read_bytes(), artifact
         assert '"jobs": 1' in manifests[1] and '"jobs": 2' in manifests[2]
 
-    def test_intervals_holds_one_product_of_models_at_a_time(self, tmp_path, monkeypatch):
+    def test_intervals_holds_no_model_while_fitting_intervals(self, tmp_path, monkeypatch):
         flags = ["--set", "synth.products=6", "--set", "synth.days=60",
                  "--set", "bootstrap.replicas=2", "--set", "bootstrap.epochs=1",
                  "--set", "bootstrap.channels=4", "--out", str(tmp_path)]
         assert cli.run([*flags, "synth"]) == 0
         refs, held = [], []
-        train_replica, ensemble_of = intervals.train_replica, intervals.ensemble_of
+        fit, fit_interval = forecaster.fit, intervals.fit_interval
 
-        def tracked_train(task):
-            model, piece = train_replica(task)
+        def tracked_fit(task):
+            model, report = fit(task)
             refs.append(weakref.ref(model))
-            return model, piece
+            return model, report
 
-        def counting_ensemble(*args, **kwargs):
+        def counting_fit_interval(*args, **kwargs):
             gc.collect()
             held.append(sum(ref() is not None for ref in refs))
-            return ensemble_of(*args, **kwargs)
+            return fit_interval(*args, **kwargs)
 
-        monkeypatch.setattr(intervals, "train_replica", tracked_train)
-        monkeypatch.setattr(intervals, "ensemble_of", counting_ensemble)
+        monkeypatch.setattr(forecaster, "fit", tracked_fit)
+        monkeypatch.setattr(intervals, "fit_interval", counting_fit_interval)
         use_cpus(monkeypatch, 1)
         assert cli.run([*flags, "intervals"]) == 0
-        # This product's replicas, plus the previous product's ensemble until
-        # the loop rebinds it; never all 6 x 2 models.
-        assert len(held) == 6 and max(held) <= 4
+        # Workers send back forecasts, so every model dies in its worker task.
+        assert len(refs) == 12 and held == [0] * 6
+
+    def test_intervals_match_library_path(self, tmp_path):
+        overrides = ["synth.products=1", "synth.days=60", "bootstrap.replicas=3",
+                     "bootstrap.epochs=2", "bootstrap.channels=4", "bootstrap.level=0.9"]
+        flags = [f for key in overrides for f in ("--set", key)] + ["--out", str(tmp_path)]
+        assert cli.run([*flags, "synth"]) == 0
+        assert cli.run([*flags, "intervals"]) == 0
+
+        config = load_config(None, overrides)
+        (frame,) = pipeline.load_sales(str(tmp_path / "sales.csv"))[0].values()
+        ensemble = intervals.bootstrap_train(
+            frame, replicas=3, min_fraction=config.bootstrap.min_fraction,
+            seed=derive_seed(config.seed, "intervals", frame.product_id),
+            config=ModelConfig(channels=4, kernel_size=config.tcn.kernel,
+                               dilations=config.bootstrap.dilations),
+            epochs=2, lr=config.bootstrap.lr)
+        interval = intervals.predict_interval(
+            ensemble, frame.values[-15:],
+            encode_date_range(frame.dates[-1] + dt.timedelta(days=1), 7), level=0.9)
+        z = intervals.z_for_level(0.9)
+        pid, level = frame.product_id, cli._fmt(0.9)
+        weekly = [[pid, level, *map(cli._fmt, (interval.mean, interval.std, interval.lower,
+                                               interval.upper))]]
+        daily = []
+        for day in range(7):
+            mean, std = interval.daily[:, day].mean(), interval.daily[:, day].std()
+            daily.append([pid, level, str(day), *map(cli._fmt, (
+                mean, std, max(0.0, mean - z * std), mean + z * std))])
+        assert read_rows(tmp_path / "intervals.csv") == weekly
+        assert read_rows(tmp_path / "intervals_daily.csv") == daily
+
+    def test_pool_takes_tasks_only_as_results_are_read(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        taken = []
+
+        def tasks():
+            for i in range(400):
+                taken.append(i)
+                yield -i
+
+        with cli._task_map(400) as (task_map, jobs):
+            assert jobs == 2
+            for read, value in enumerate(task_map(abs, tasks()), start=1):
+                assert value == read - 1
+                # at most 4 chunks of 8 tasks per worker sent and unread
+                assert len(taken) - read < 4 * 2 * 8
+        assert len(taken) == 400
 
     @pytest.mark.parametrize("stage", ["forecast", "intervals"])
     @pytest.mark.parametrize("error,code", [(InvariantError, 2), (InputError, 1)])
@@ -493,6 +548,13 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as exc:
             cli.main()
         assert exc.value.code == 2
+
+    def test_bad_config_value_exits_1_without_traceback(self, tmp_path, monkeypatch, caplog):
+        out = ["--out", str(tmp_path)]
+        assert cli.run([*out, "--set", "synth.products=2", "--set", "synth.days=40", "synth"]) == 0
+        assert exit_code(monkeypatch, [*out, "--set", "tcn.dilations=", "forecast"]) == 1
+        assert "tcn.dilations must be non-empty" in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_missing_input_is_input_error(self, tmp_path):
         with pytest.raises(InputError):

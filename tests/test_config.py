@@ -47,9 +47,25 @@ def test_bad_value_rejected():
         apply_setting(RunConfig(), "ga.pop", "many")
 
 
-def test_invalid_combination_rejected(tmp_path):
+@pytest.mark.parametrize("setting", [
+    "bootstrap.level=1.5",
+    "tcn.dilations=",
+    "tcn.dilations=1,0",
+    "bootstrap.dilations=",
+    "bootstrap.dilations=-2",
+    "bootstrap.channels=0",
+    "bootstrap.epochs=-1",
+    "train.lr=nan",
+    "train.lr=-1",
+    "train.lr=0",
+    "bootstrap.lr=inf",
+    "bootstrap.lr=0",
+    "ga.elitism=2",
+    "ga.elitism=-1",
+])
+def test_invalid_combination_rejected(tmp_path, setting):
     path = tmp_path / "run.cfg"
-    path.write_text("bootstrap.level=1.5\n")
+    path.write_text(setting + "\n")
     with pytest.raises(InputError):
         load_config(str(path))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from freshplan import intervals as iv, pipeline
+from freshplan import forecaster, intervals as iv, pipeline
 from freshplan.errors import InputError
 from freshplan.forecaster import ModelConfig
 from freshplan.intervals import (
@@ -41,30 +41,39 @@ class TestNormalQuantile:
             z_for_level(1.0)
 
 
+def slices(tasks, frame):
+    """(start, length) of each task's training frame within `frame`."""
+    return [((task.series.dates[0] - frame.dates[0]).days, len(task.series)) for task in tasks]
+
+
 class TestBootstrapTrain:
     def test_single_replica_covers_min_fraction(self):
         frame = sales_frame()
         ens = bootstrap_train(frame, replicas=1, min_fraction=0.7, seed=1,
                               config=TINY, epochs=1)
         assert len(ens.models) == 1
-        assert ens.slices[0].length >= int(np.ceil(0.7 * len(frame)))
+        tasks = iv.replica_tasks(frame, replicas=1, min_fraction=0.7, seed=1, config=TINY,
+                                 epochs=1)
+        assert slices(tasks, frame)[0][1] >= int(np.ceil(0.7 * len(frame)))
 
     def test_deterministic_slices(self):
         frame = sales_frame()
-        a = bootstrap_train(frame, replicas=5, min_fraction=0.7, seed=3, config=TINY, epochs=1)
-        b = bootstrap_train(frame, replicas=5, min_fraction=0.7, seed=3, config=TINY, epochs=1)
-        assert [(s.start, s.length) for s in a.slices] == [(s.start, s.length) for s in b.slices]
+        a = iv.replica_tasks(frame, replicas=5, min_fraction=0.7, seed=3, config=TINY, epochs=1)
+        b = iv.replica_tasks(frame, replicas=5, min_fraction=0.7, seed=3, config=TINY, epochs=1)
+        assert slices(a, frame) == slices(b, frame)
 
     def test_100_replicas_on_a_year_of_data(self):
         frame = sales_frame(days=365)
         ens = bootstrap_train(frame, replicas=100, min_fraction=0.7, seed=5,
                               config=TINY, epochs=0)
+        tasks = iv.replica_tasks(frame, replicas=100, min_fraction=0.7, seed=5,
+                                 config=TINY, epochs=0)
         n = len(frame)
         assert len(ens.models) == 100
-        for s in ens.slices:
-            assert 0 <= s.start and s.start + s.length <= n
-            assert s.length >= int(np.ceil(0.7 * n))
-        assert len({s.length for s in ens.slices}) > 1  # lengths actually vary
+        for start, length in slices(tasks, frame):
+            assert 0 <= start and start + length <= n
+            assert length >= int(np.ceil(0.7 * n))
+        assert len({length for _, length in slices(tasks, frame)}) > 1  # lengths actually vary
         # replica seeds differ, so the random inits differ
         heads = {ens.models[i].head.weights.data.tobytes() for i in (0, 1, 2, 50, 99)}
         assert len(heads) == 5
@@ -74,9 +83,11 @@ class TestBootstrapTrain:
         ens = bootstrap_train(frame, replicas=4, min_fraction=0.7, seed=3, config=TINY, epochs=1)
         tasks = iv.replica_tasks(frame, replicas=4, min_fraction=0.7, seed=3, config=TINY,
                                  epochs=1)
+        fewer = iv.replica_tasks(frame, replicas=2, min_fraction=0.7, seed=3, config=TINY,
+                                 epochs=1)
+        assert slices(fewer, frame) == slices(tasks, frame)[:2]
         for r in (3, 1):  # out of order, alone
-            model, piece = iv.train_replica(tasks[r])
-            assert (piece.start, piece.length) == (ens.slices[r].start, ens.slices[r].length)
+            model, _ = forecaster.fit(tasks[r])
             assert model.head.weights.data.tobytes() == \
                 ens.models[r].head.weights.data.tobytes()
 
@@ -147,6 +158,6 @@ class TestPredictInterval:
         assert results[0] == results[1]
 
     def test_empty_ensemble_rejected(self):
-        ens = iv.BootstrapEnsemble("S", [], [])
+        ens = iv.BootstrapEnsemble("S", [])
         with pytest.raises(InputError):
             predict_interval(ens, np.zeros(15), np.zeros((7, 10)))
