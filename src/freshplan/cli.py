@@ -23,6 +23,7 @@ import itertools
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -316,7 +317,11 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
         if not unit_cost > 0.0:
             skip(pid, f"forecast unit cost {unit_cost:.6f} is not positive")
             continue
-        curve = demand_mod.fit_demand(price_frames[pid].values, qty_frames[pid].values, pid)
+        try:
+            curve = demand_mod.fit_demand(price_frames[pid].values, qty_frames[pid].values, pid)
+        except InputError as exc:  # a constant price or too few days: no curve to plan on
+            skip(pid, str(exc))
+            continue
         demand_rows.append([pid, _fmt(curve.intercept), _fmt(curve.slope),
                             _fmt(curve.r_squared), "true" if curve.anomalous_slope else "false"])
         contexts.append(gaopt.ProductContext(
@@ -342,7 +347,9 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
                                       decay=config.ga.sigma_decay),
         seed=derive_seed(config.seed, "optimize"),
     )
+    evolve_started = time.perf_counter()
     result = gaopt.evolve(contexts, ga_config)
+    evolve_s = time.perf_counter() - evolve_started
 
     plan_rows = [[r["product_id"], _fmt(r["price"]), _fmt(r["allocation"]),
                   _fmt(r["expected_sales"]), _fmt(r["expected_profit"])]
@@ -356,7 +363,10 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
     _write_csv(trace_path, GA_TRACE_HEADER, trace_rows)
 
     extra = {"best_profit": round(result.best_fitness, 6),
-             "evaluations": result.evaluations, "products": len(contexts), "skipped": skipped}
+             "evaluations": result.evaluations,
+             "evaluations_per_s": round(result.evaluations / evolve_s, 1),
+             "last_improving_generation": result.last_improvement,
+             "products": len(contexts), "skipped": skipped}
     if baseline == "random":
         _, random_best = gaopt.random_search(
             contexts, result.evaluations, seed=derive_seed(config.seed, "optimize", "baseline"))

@@ -29,16 +29,22 @@ class DemandCurve:
 
 
 def fit_demand(prices, volumes, product_id: str = "") -> DemandCurve:
-    """OLS fit volume = intercept + slope * price on daily observations."""
+    """OLS fit volume = intercept + slope * price on daily observations.
+
+    Raises InputError, naming the product, when no line can be fit: fewer than
+    3 days, or one price on every day."""
     p = np.asarray(prices, dtype=np.float64)
     v = np.asarray(volumes, dtype=np.float64)
+    name = product_id or "demand curve"
     if p.shape != v.shape or p.ndim != 1:
-        raise InputError("prices and volumes must be equal-length vectors")
+        raise InputError(f"{name}: prices and volumes must be equal-length vectors, "
+                         f"got {p.shape} and {v.shape}")
     if p.size < 3:
-        raise InputError(f"need at least 3 observations, got {p.size}")
+        raise InputError(f"{name}: need at least 3 days of sales to fit demand, got {p.size}")
     var_p = float(np.var(p))
     if var_p == 0.0:
-        raise InputError("degenerate regressor")
+        raise InputError(f"{name}: degenerate regressor, the price is {p[0]:.6f} "
+                         f"on all {p.size} days")
     slope = float(np.cov(p, v, bias=True)[0, 1]) / var_p
     intercept = float(v.mean()) - slope * float(p.mean())
     residuals = v - (intercept + slope * p)

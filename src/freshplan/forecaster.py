@@ -206,23 +206,16 @@ def evaluate(y, y_hat) -> MetricsReport:
 # -- evaluation helpers -------------------------------------------------------
 
 
-def holdout_mse(model: ForecasterModel, windows: Windows, space: str = "raw") -> float:
-    """Mean squared error of the model over windows, in raw or normalized space."""
-    if space not in ("raw", "normalized"):
-        raise InputError(f"space must be 'raw' or 'normalized', got {space!r}")
+def holdout_mse(model: ForecasterModel, windows: Windows) -> float:
+    """Mean squared error of the model over windows, in raw units."""
     preds = model.predict_scaled(windows.histories, windows.terms)
-    targets = windows.targets
-    if space == "raw":
-        preds = model.normalizer.inverse(preds)
-        targets = model.normalizer.inverse(targets)
-    return float(np.mean((preds - targets) ** 2))
+    inverse = model.normalizer.inverse
+    return float(np.mean((inverse(preds) - inverse(windows.targets)) ** 2))
 
 
-def naive_mse(windows: Windows, normalizer: Normalizer, space: str = "raw") -> float:
-    """MSE of repeating each window's last observed value across the horizon."""
+def naive_mse(windows: Windows, normalizer: Normalizer) -> float:
+    """MSE, in raw units, of repeating each window's last observed value across
+    the horizon."""
     targets = windows.targets
     preds = np.repeat(windows.histories[:, -1:], targets.shape[1], axis=1)
-    if space == "raw":
-        preds = normalizer.inverse(preds)
-        targets = normalizer.inverse(targets)
-    return float(np.mean((preds - targets) ** 2))
+    return float(np.mean((normalizer.inverse(preds) - normalizer.inverse(targets)) ** 2))

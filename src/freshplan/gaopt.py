@@ -10,6 +10,11 @@ summed left to right, because np.sum's pairwise order rounds differently from a
 loop over products and would change plans.  Tournament selection, per-gene
 blend crossover, Gaussian mutation with a geometrically decaying step, and
 one-elite survivor selection drive the search.
+
+Each generation is bred as whole-array expressions from five population-wide
+draws, always in this order: tournament contenders [2 * pairs, tournament]
+with pairs = ceil(pop / 2), crossover decisions [pairs], blend weights
+[pairs, 2N], mutation mask [pop, 2N] and mutation noise [pop, 2N].
 """
 
 from __future__ import annotations
@@ -140,25 +145,25 @@ class MutationConfig:
             raise InputError(f"decay must be in (0, 1], got {self.decay}")
 
 
-def gaussian_mutate(chromosome: np.ndarray, boxes: GeneBoxes, cfg: MutationConfig,
+def gaussian_mutate(population: np.ndarray, boxes: GeneBoxes, cfg: MutationConfig,
                     rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Add zero-mean Gaussian noise to randomly selected genes; sigma is
-    `scale * sigma_fraction * box width` per gene."""
-    c = np.array(chromosome, dtype=np.float64)
+    """Add zero-mean Gaussian noise to randomly selected genes of a [P, 2N]
+    population (or one [2N] chromosome); sigma is `scale * sigma_fraction * box
+    width` per gene.  Draws the whole mask, then the whole noise."""
+    c = np.asarray(population, dtype=np.float64)
     mask = rng.random(c.shape) < cfg.prob
-    sigma = scale * cfg.sigma_fraction * boxes.width
-    noise = rng.normal(0.0, 1.0, size=c.shape) * sigma
-    c[mask] += noise[mask]
-    return c
+    noise = rng.normal(0.0, 1.0, size=c.shape) * (scale * cfg.sigma_fraction * boxes.width)
+    return np.where(mask, c + noise, c)
 
 
-def crossover(parent_a: np.ndarray, parent_b: np.ndarray,
+def crossover(parents_a: np.ndarray, parents_b: np.ndarray,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gene blend crossover: u ~ U[-0.5, 1.5], children from complementary draws."""
-    a = np.asarray(parent_a, dtype=np.float64)
-    b = np.asarray(parent_b, dtype=np.float64)
+    """Per-gene blend crossover of paired [P, 2N] rows (or one [2N] pair):
+    u ~ U[-0.5, 1.5], children from complementary draws."""
+    a = np.asarray(parents_a, dtype=np.float64)
+    b = np.asarray(parents_b, dtype=np.float64)
     if a.shape != b.shape:
-        raise InputError(f"parent length mismatch: {a.shape} vs {b.shape}")
+        raise InputError(f"parent shape mismatch: {a.shape} vs {b.shape}")
     u = rng.uniform(-0.5, 1.5, size=a.shape)
     return u * a + (1.0 - u) * b, (1.0 - u) * a + u * b
 
@@ -181,6 +186,18 @@ class GaConfig:
     mutation: MutationConfig = field(default_factory=MutationConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.pop < 1:
+            raise InputError(f"GA pop must be >= 1, got {self.pop}")
+        if self.gens < 0:
+            raise InputError(f"GA gens must be >= 0, got {self.gens}")
+        if self.tournament < 1:
+            raise InputError(f"GA tournament must be >= 1, got {self.tournament}")
+        if self.elitism not in (0, 1):
+            raise InputError(f"GA elitism must be 0 or 1, got {self.elitism}")
+        if not 0.0 <= self.crossover_rate <= 1.0:
+            raise InputError(f"GA crossover_rate must be in [0, 1], got {self.crossover_rate}")
+
 
 @dataclass
 class GaResult:
@@ -188,16 +205,45 @@ class GaResult:
     best_fitness: float
     trace: list[GenerationStats]
     evaluations: int
+    last_improvement: int  # last generation that raised the best fitness, -1 if none did
 
 
-def _tournament_pick(fits: np.ndarray, size: int, rng: np.random.Generator) -> int:
-    contenders = rng.integers(0, len(fits), size=size)
-    return int(contenders[np.argmax(fits[contenders])])
+def tournament_select(fits: np.ndarray, size: int, count: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Indices of `count` tournament winners, each the first fittest of `size`
+    contenders drawn with replacement."""
+    contenders = rng.integers(0, len(fits), size=(count, size))
+    return contenders[np.arange(count), np.argmax(fits[contenders], axis=1)]
+
+
+def breed(pop: np.ndarray, fits: np.ndarray, boxes: GeneBoxes, config: GaConfig,
+          rng: np.random.Generator, scale: float) -> np.ndarray:
+    """One generation of repaired children from a [P, 2N] population.
+
+    Pair i's parents are tournament winners 2i and 2i+1; its children are rows
+    2i and 2i+1 (the last pair's second child is dropped for an odd P).  Draws
+    the five blocks in the order the module docstring gives.
+    """
+    size = len(pop)
+    pairs = -(-size // 2)
+    winners = tournament_select(fits, config.tournament, 2 * pairs, rng)
+    parents_a, parents_b = pop[winners[0::2]], pop[winners[1::2]]
+    crossed = (rng.random(pairs) < config.crossover_rate)[:, None]
+    blend_a, blend_b = crossover(parents_a, parents_b, rng)
+    children = np.stack([np.where(crossed, blend_a, parents_a),
+                         np.where(crossed, blend_b, parents_b)], axis=1)
+    children = children.reshape(2 * pairs, -1)[:size]
+    return repair(gaussian_mutate(children, boxes, config.mutation, rng, scale), boxes)
 
 
 def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> GaResult:
     """Run the GA.  Only with `elitism` 1 is the best individual so far carried
-    over, in place of the worst child, so that the trace's best never falls."""
+    over, in place of the worst child, so that the trace's best never falls.
+
+    The generator is seeded with `config.seed`.  It draws the [pop, 2N] initial
+    population, then per generation: tournament contenders, crossover
+    decisions, blend weights, mutation mask and mutation noise, each as one
+    population-wide block."""
     if not contexts:
         raise InputError("no product contexts")
     if all(ctx.interval.upper <= 0.0 for ctx in contexts):
@@ -213,18 +259,12 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> Ga
     best_idx = int(np.argmax(fits))
     best = pop[best_idx].copy()
     best_fit = float(fits[best_idx])
+    last_improvement = -1
 
     trace: list[GenerationStats] = []
     scale = 1.0
     for gen in range(config.gens):
-        offspring: list[np.ndarray] = []
-        while len(offspring) < config.pop:
-            pa = pop[_tournament_pick(fits, config.tournament, rng)]
-            pb = pop[_tournament_pick(fits, config.tournament, rng)]
-            crossed = rng.random() < config.crossover_rate
-            offspring.extend(crossover(pa, pb, rng) if crossed else (pa, pb))
-        children = repair([gaussian_mutate(child, boxes, config.mutation, rng, scale)
-                           for child in offspring[:config.pop]], boxes)
+        children = breed(pop, fits, boxes, config, rng, scale)
         child_fits = fitness(children, contexts, boxes)
         evaluations += config.pop
 
@@ -232,7 +272,8 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> Ga
         if child_fits[gen_best] > best_fit:
             best = children[gen_best].copy()
             best_fit = float(child_fits[gen_best])
-        if config.elitism >= 1:
+            last_improvement = gen
+        if config.elitism == 1:
             worst = int(np.argmin(child_fits))
             children[worst] = best
             child_fits[worst] = best_fit
@@ -245,7 +286,8 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> Ga
             min_fitness=float(fits.min()),
             avg_fitness=float(fits.mean()),
         ))
-    return GaResult(best=best, best_fitness=best_fit, trace=trace, evaluations=evaluations)
+    return GaResult(best=best, best_fitness=best_fit, trace=trace, evaluations=evaluations,
+                    last_improvement=last_improvement)
 
 
 def random_search(contexts: list[ProductContext], evaluations: int, seed: int = 0) -> tuple[np.ndarray, float]:

@@ -97,6 +97,44 @@ def plan_profit_reference(chromosome, contexts) -> float:
     return total
 
 
+def generation_reference(pop, fits, low, high, crossover_rate: float, prob: float,
+                         sigma, contenders, crossover_draws, blend,
+                         mask_draws, normals) -> np.ndarray:
+    """One GA generation from pre-drawn numbers, pair by pair and child by child.
+
+    Pair i's parents win tournaments 2i and 2i+1 (the first fittest contender of
+    each row of `contenders`); it blends when crossover_draws[i] < crossover_rate,
+    with weights blend[i].  Child k keeps gene g mutated by
+    normals[k, g] * sigma[g] when mask_draws[k, g] < prob, then each gene is
+    clamped into [low, high].
+    """
+    size = len(pop)
+
+    def winner(row):
+        best = row[0]
+        for idx in row[1:]:
+            if fits[idx] > fits[best]:
+                best = idx
+        return best
+
+    offspring = []
+    for i in range((size + 1) // 2):
+        a = np.array(pop[winner(contenders[2 * i])], dtype=np.float64)
+        b = np.array(pop[winner(contenders[2 * i + 1])], dtype=np.float64)
+        if crossover_draws[i] < crossover_rate:
+            u = blend[i]
+            a, b = u * a + (1.0 - u) * b, (1.0 - u) * a + u * b
+        offspring.extend([a, b])
+    children = []
+    for k, c in enumerate(offspring[:size]):
+        c = c.copy()
+        mask = mask_draws[k] < prob
+        noise = normals[k] * sigma
+        c[mask] += noise[mask]
+        children.append([min(max(float(c[g]), low[g]), high[g]) for g in range(len(c))])
+    return np.array(children, dtype=np.float64)
+
+
 def term_index_reference(date: dt.date, entries) -> int:
     """Index of the term whose boundary is the last one at or before the date's
     (month, day) in a list of 24 (month, day) boundaries; a date before every

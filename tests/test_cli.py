@@ -125,6 +125,12 @@ class TestStages:
         assert stages["intervals"]["jobs"] == min(cpus, 12)
         assert "random_search_profit" in stages["optimize"]
         assert stages["optimize"]["skipped"] == []
+        # GA convergence: the trace's best is final from the last improving generation on.
+        last = stages["optimize"]["last_improving_generation"]
+        maxima = [r["max"] for r in read_table(out / "ga_trace.csv")]
+        assert 0 <= last < cfg.ga.gens
+        assert set(maxima[last:]) == {maxima[-1]}
+        assert stages["optimize"]["evaluations_per_s"] > 0
         assert (out / "manifest.json").exists()
 
     def test_demand_csv_schema(self, full_run):
@@ -192,6 +198,34 @@ class TestOptimizeSkips:
         [entry] = manifest.data["stages"]["optimize"]["skipped"]
         assert entry["product_id"] == top
         assert "not positive" in entry["reason"]
+
+    @pytest.mark.parametrize("change,reason", [("constant price", "price is 5.000000 on all"),
+                                               ("two days", "at least 3 days")])
+    def test_unfittable_demand_curve_is_skipped(self, full_run, tmp_path, change, reason):
+        cfg, src, _ = full_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        top = read_table(out / "ranking.csv")[0]["product_id"]
+        rows = read_table(out / "sales.csv")
+        if change == "constant price":
+            for r in rows:
+                if r["product_id"] == top:
+                    r["unit_price"] = "5.000000"
+        else:
+            kept = [r for r in rows if r["product_id"] == top][:2]
+            rows = [r for r in rows if r["product_id"] != top or r in kept]
+        with open(out / "sales.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        manifest = RunManifest(cfg, out)
+        cli.cmd_optimize(cfg, out, manifest)
+        planned = [r["product_id"] for r in read_table(out / "plan.csv")]
+        assert top not in planned and len(planned) == cfg.topsis.top_k - 1
+        assert top not in [r["product_id"] for r in read_table(out / "demand.csv")]
+        [entry] = manifest.data["stages"]["optimize"]["skipped"]
+        assert entry["product_id"] == top
+        assert top in entry["reason"] and reason in entry["reason"]
 
 class TestIntervalLevels:
     def test_higher_level_never_narrower(self, tmp_path):

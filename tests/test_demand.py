@@ -20,12 +20,16 @@ class TestFit:
         assert curve.anomalous_slope
 
     def test_degenerate_prices_rejected(self):
-        with pytest.raises(InputError, match="degenerate regressor"):
-            fit_demand([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(InputError, match="P7: degenerate regressor"):
+            fit_demand([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], "P7")
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(InputError):
-            fit_demand([1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(InputError, match="P7: need at least 3 days"):
+            fit_demand([1.0, 2.0], [1.0, 2.0], "P7")
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(InputError, match="P7: prices and volumes"):
+            fit_demand([1.0, 2.0, 3.0], [1.0, 2.0], "P7")
 
     def test_residuals_sum_to_zero(self):
         rng = np.random.default_rng(0)

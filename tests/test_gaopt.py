@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import plan_profit_reference
+from oracles import generation_reference, plan_profit_reference
 from test_acceptance import _instance_32
 
 from freshplan import gaopt
@@ -11,6 +13,7 @@ from freshplan.gaopt import (
     GaConfig,
     MutationConfig,
     ProductContext,
+    breed,
     crossover,
     evolve,
     fitness,
@@ -168,16 +171,26 @@ class TestMutation:
         ctx = analytic_context()
         boxes = gene_boxes(ctx)
         cfg = MutationConfig(prob=1.0, sigma_fraction=0.0)
-        c = np.array([6.0, 4.0])
-        out = gaussian_mutate(c, boxes, cfg, np.random.default_rng(0))
-        assert np.array_equal(out, c)
+        pop = chromosomes([6.0, 4.0], [1.0, 3.0])
+        out = gaussian_mutate(pop, boxes, cfg, np.random.default_rng(0))
+        assert np.array_equal(out, pop)
 
     def test_zero_probability_is_identity(self):
         ctx = analytic_context()
         boxes = gene_boxes(ctx)
         cfg = MutationConfig(prob=0.0, sigma_fraction=0.5)
+        pop = chromosomes([6.0, 4.0], [1.0, 3.0])
+        assert np.array_equal(gaussian_mutate(pop, boxes, cfg, np.random.default_rng(0)), pop)
+
+    def test_single_row_still_works(self):
+        ctx = analytic_context()
+        boxes = gene_boxes(ctx)
+        cfg = MutationConfig(prob=0.5, sigma_fraction=0.3)
         c = np.array([6.0, 4.0])
-        assert np.array_equal(gaussian_mutate(c, boxes, cfg, np.random.default_rng(0)), c)
+        row = gaussian_mutate(c, boxes, cfg, np.random.default_rng(7))
+        mask = np.random.default_rng(7).random(2) < cfg.prob
+        assert row.shape == (2,)
+        assert np.array_equal(row == c, ~mask)
 
     def test_perturbations_have_zero_mean(self):
         ctx = analytic_context()
@@ -186,7 +199,7 @@ class TestMutation:
         rng = np.random.default_rng(123)
         c = np.array([6.0, 4.0])
         trials = 100_000
-        deltas = np.array([gaussian_mutate(c, boxes, cfg, rng) - c for _ in range(trials)])
+        deltas = gaussian_mutate(np.tile(c, (trials, 1)), boxes, cfg, rng) - c
         sigma = cfg.sigma_fraction * boxes.width
         for g in range(2):
             assert abs(deltas[:, g].mean()) < 3.0 * sigma[g] / np.sqrt(trials)
@@ -200,26 +213,46 @@ class TestMutation:
 
 class TestCrossover:
     def test_equal_parents_give_equal_children(self):
-        a = np.array([1.0, 2.0, 3.0])
+        a = chromosomes([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         ca, cb = crossover(a, a.copy(), np.random.default_rng(0))
         assert np.allclose(ca, a) and np.allclose(cb, a)
 
+    def test_single_pair_still_works(self):
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0])
+        ca, cb = crossover(a, b, np.random.default_rng(0))
+        assert ca.shape == cb.shape == (3,)
+        assert np.allclose(ca + cb, a + b)
+
     def test_children_within_blend_bounds(self):
         rng = np.random.default_rng(1)
-        for _ in range(10_000):
-            a = rng.uniform(-10, 10, size=4)
-            b = rng.uniform(-10, 10, size=4)
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            span = hi - lo
-            ca, cb = crossover(a, b, rng)
-            for child in (ca, cb):
-                assert np.all(child >= lo - 0.5 * span - 1e-12)
-                assert np.all(child <= hi + 0.5 * span + 1e-12)
+        a = rng.uniform(-10, 10, size=(10_000, 4))
+        b = rng.uniform(-10, 10, size=(10_000, 4))
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        span = hi - lo
+        for child in crossover(a, b, rng):
+            assert np.all(child >= lo - 0.5 * span - 1e-12)
+            assert np.all(child <= hi + 0.5 * span + 1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):
             crossover(np.ones(2), np.ones(3), np.random.default_rng(0))
+        with pytest.raises(InputError):
+            crossover(np.ones((3, 2)), np.ones((2, 2)), np.random.default_rng(0))
+
+
+class TestGaConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("pop", 0), ("pop", -3), ("gens", -1), ("tournament", 0), ("elitism", -1),
+        ("elitism", 2), ("elitism", 3), ("crossover_rate", -0.1), ("crossover_rate", 2.0),
+        ("crossover_rate", float("nan"))])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(InputError, match=f"GA {field} "):
+            GaConfig(**{field: value})
+
+    def test_edges_accepted(self):
+        GaConfig(pop=1, gens=0, tournament=1, elitism=0, crossover_rate=0.0)
+        GaConfig(crossover_rate=1.0)
 
 
 class TestEvolve:
@@ -301,6 +334,49 @@ def test_batched_evaluator_matches_row_by_row_reference(products, pop_size, seed
     assert np.array_equal(pop, np.array([repair(row, boxes) for row in raw]))
     assert np.array_equal(repair(pop, boxes), pop)
     assert fitness(pop, ctx, boxes).tolist() == [plan_profit_reference(row, ctx) for row in pop]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(PRODUCTS, min_size=1, max_size=4), st.integers(1, 12), st.integers(1, 4),
+       st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.1, 1.0]),
+       st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+def test_generation_matches_child_by_child_reference(products, pop_size, tournament, rate,
+                                                     prob, scale, seed):
+    """A generation bred from block draws equals the child-by-child loop fed the
+    same draws, and takes exactly the documented draws from the generator."""
+    ctx = contexts_of(products)
+    boxes = gene_boxes(ctx)
+    rng = np.random.default_rng(seed)
+    pop = rng.uniform(boxes.low, boxes.high, size=(pop_size, boxes.low.size))
+    fits = fitness(pop, ctx, boxes)
+    fits[rng.integers(0, pop_size, size=pop_size)] = fits.max()  # ties: the first contender must win
+    config = GaConfig(pop=pop_size, tournament=tournament, crossover_rate=rate,
+                      mutation=MutationConfig(prob=prob, sigma_fraction=0.2))
+
+    twin = copy.deepcopy(rng)
+    pairs, genes = (pop_size + 1) // 2, boxes.low.size
+    expected = generation_reference(
+        pop, fits, boxes.low, boxes.high, rate, prob, scale * 0.2 * boxes.width,
+        twin.integers(0, pop_size, (2 * pairs, tournament)), twin.random(pairs),
+        twin.uniform(-0.5, 1.5, (pairs, genes)), twin.random((pop_size, genes)),
+        twin.normal(0.0, 1.0, (pop_size, genes)))
+
+    children = breed(pop, fits, boxes, config, rng, scale)
+    assert children.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_last_improvement_is_last_rise_of_best():
+    res = evolve(_instance_32(), GaConfig(pop=30, gens=60, seed=4))
+    best = [s.max_fitness for s in res.trace]
+    rises = [g for g in range(1, len(best)) if best[g] > best[g - 1]]
+    assert 0 <= res.last_improvement == rises[-1] < 60
+    assert best[res.last_improvement] == res.best_fitness
+
+
+def test_no_generations_means_no_improvement():
+    res = evolve(analytic_context(), GaConfig(pop=5, gens=0, seed=0))
+    assert (res.last_improvement, res.trace, res.evaluations) == (-1, [], 5)
 
 
 def test_draw_order_does_not_depend_on_batching(monkeypatch):
