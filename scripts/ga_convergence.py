@@ -27,7 +27,7 @@ def main() -> None:
     interval = SalesInterval("demo", 5.0, 2.0, 0.0, 100.0, 0.95)
     context = [ProductContext("demo", 2.0, curve, interval)]
 
-    result = gaopt.evolve(context, GaConfig(pop=100, gens=200, seed=seed))
+    result = gaopt.evolve(context, GaConfig(pop=100, gens=200), seed=seed)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["generation", "max", "min", "avg"])

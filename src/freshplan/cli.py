@@ -32,7 +32,7 @@ from . import demand as demand_mod
 from . import forecaster, gaopt, intervals as intervals_mod, mcdm, pipeline
 from .config import RunConfig, RunManifest, derive_seed, load_config
 from .errors import InputError, InvariantError
-from .forecaster import ModelConfig
+from .pipeline import HORIZON_DAYS
 from .solarterms import TermBoundaryTable
 
 log = logging.getLogger("freshplan")
@@ -148,16 +148,13 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
     frames = pipeline.load_costs(str(costs_path))
     manifest.note_input("costs", costs_path)
 
-    usable, skipped = _usable_frames(
-        frames, config.window.input_days + config.window.horizon_days, "forecast")
-    model_cfg = ModelConfig(channels=config.tcn.channels, kernel_size=config.tcn.kernel,
-                            dilations=list(config.tcn.dilations))
+    usable, skipped = _usable_frames(frames, config.window.input_days + HORIZON_DAYS, "forecast")
     batch_size = config.train.batch_size if config.train.batch_size > 0 else None
     tasks = []
     for frame in usable:
         seed = derive_seed(config.seed, "forecast", frame.product_id)
         history, terms = forecaster.next_week(frame, table, config.window.input_days)
-        tasks.append(forecaster.FitTask(frame, table, model_cfg, seed, derive_seed(seed, "order"),
+        tasks.append(forecaster.FitTask(frame, table, config.tcn, seed, derive_seed(seed, "order"),
                                         config.train.epochs, config.train.lr, batch_size,
                                         history, terms))
     with _task_map(len(tasks)) as (task_map, jobs):
@@ -187,10 +184,9 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
     qty_frames, _ = pipeline.load_sales(str(sales_path))
     manifest.note_input("sales", sales_path)
 
-    base_cfg = ModelConfig(channels=config.bootstrap.channels, kernel_size=config.tcn.kernel,
-                           dilations=list(config.bootstrap.dilations))
+    base_cfg = config.replica_model()
     usable, skipped = _usable_frames(
-        qty_frames, config.window.input_days + config.window.horizon_days, "intervals")
+        qty_frames, config.window.input_days + HORIZON_DAYS, "intervals")
     # One flat task stream, so that one product's replicas also spread over the workers.
     tasks = (task for frame in usable for task in intervals_mod.replica_tasks(
         frame,
@@ -209,7 +205,7 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
     z = intervals_mod.z_for_level(level)
     rows, daily_rows = [], []
     for frame, daily in zip(usable, np.reshape(
-            weeks, (len(usable), config.bootstrap.replicas, config.window.horizon_days))):
+            weeks, (len(usable), config.bootstrap.replicas, HORIZON_DAYS))):
         pid = frame.product_id
         interval = intervals_mod.fit_interval(pid, daily, level)
         rows.append([pid, _fmt(level), *map(_fmt, (interval.mean, interval.std,
@@ -336,19 +332,8 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
     demand_path = out_dir / config.paths.demand
     _write_csv(demand_path, DEMAND_HEADER, demand_rows)
 
-    ga_config = gaopt.GaConfig(
-        pop=config.ga.pop,
-        gens=config.ga.gens,
-        tournament=config.ga.tournament,
-        elitism=config.ga.elitism,
-        crossover_rate=config.ga.crossover_rate,
-        mutation=gaopt.MutationConfig(prob=config.ga.mutation_prob,
-                                      sigma_fraction=config.ga.sigma_fraction,
-                                      decay=config.ga.sigma_decay),
-        seed=derive_seed(config.seed, "optimize"),
-    )
     evolve_started = time.perf_counter()
-    result = gaopt.evolve(contexts, ga_config)
+    result = gaopt.evolve(contexts, config.ga, seed=derive_seed(config.seed, "optimize"))
     evolve_s = time.perf_counter() - evolve_started
 
     plan_rows = [[r["product_id"], _fmt(r["price"]), _fmt(r["allocation"]),

@@ -16,22 +16,20 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from . import __version__
 from .errors import InputError
+from .forecaster import ModelConfig
+from .gaopt import GaConfig
+from .pipeline import HORIZON_DAYS
 
 
 @dataclass
 class WindowConfig:
     input_days: int = 15
-    horizon_days: int = 7
-
-
-@dataclass
-class TcnConfig:
-    kernel: int = 3
-    dilations: list[int] = field(default_factory=lambda: [1, 2])
-    channels: int = 16
+    # Not a key: the model head and the weekly decision loop are built for 7 days.
+    horizon_days: ClassVar[int] = HORIZON_DAYS
 
 
 @dataclass
@@ -59,18 +57,6 @@ class TopsisConfig:
 
 
 @dataclass
-class GaRunConfig:
-    pop: int = 200
-    gens: int = 500
-    tournament: int = 3
-    elitism: int = 1
-    crossover_rate: float = 0.9
-    mutation_prob: float = 0.1
-    sigma_fraction: float = 0.1
-    sigma_decay: float = 0.995
-
-
-@dataclass
 class SynthConfig:
     products: int = 61
     days: int = 730
@@ -94,55 +80,48 @@ class PathsConfig:
 class RunConfig:
     seed: int = 42
     window: WindowConfig = field(default_factory=WindowConfig)
-    tcn: TcnConfig = field(default_factory=TcnConfig)
+    tcn: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
     topsis: TopsisConfig = field(default_factory=TopsisConfig)
-    ga: GaRunConfig = field(default_factory=GaRunConfig)
+    ga: GaConfig = field(default_factory=GaConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
+    def replica_model(self) -> ModelConfig:
+        """The intervals stage's base learner: `bootstrap` channels and
+        dilations with the `tcn` kernel."""
+        return ModelConfig(self.bootstrap.channels, self.tcn.kernel,
+                           list(self.bootstrap.dilations), section="bootstrap")
+
     def validate(self) -> None:
+        self.ga.validate()
+        self.tcn.validate()
+        self.replica_model()  # checks bootstrap.channels and bootstrap.dilations
         checks = [
             (self.window.input_days >= 1, "window.input_days must be >= 1"),
-            # the model head and the weekly decision loop are built for a 7-day horizon
-            (self.window.horizon_days == 7, "window.horizon_days must be 7"),
-            (self.tcn.kernel >= 1, "tcn.kernel must be >= 1"),
-            (self.tcn.channels >= 1, "tcn.channels must be >= 1"),
-            (min(self.tcn.dilations, default=0) >= 1,
-             "tcn.dilations must be non-empty, each >= 1"),
             (self.train.epochs >= 0, "train.epochs must be >= 0"),
             (0.0 < self.train.lr < math.inf, "train.lr must be finite and > 0"),
             (self.train.batch_size >= 0, "train.batch_size must be >= 0 (0 = full batch)"),
             (self.bootstrap.replicas >= 1, "bootstrap.replicas must be >= 1"),
             (0.0 < self.bootstrap.min_fraction <= 1.0, "bootstrap.min_fraction must be in (0, 1]"),
             (0.0 < self.bootstrap.level < 1.0, "bootstrap.level must be in (0, 1)"),
-            (self.bootstrap.channels >= 1, "bootstrap.channels must be >= 1"),
-            (min(self.bootstrap.dilations, default=0) >= 1,
-             "bootstrap.dilations must be non-empty, each >= 1"),
             (self.bootstrap.epochs >= 0, "bootstrap.epochs must be >= 0"),
             (0.0 < self.bootstrap.lr < math.inf, "bootstrap.lr must be finite and > 0"),
             (self.topsis.top_k >= 1, "topsis.top_k must be >= 1"),
-            (self.ga.pop >= 2, "ga.pop must be >= 2"),
-            (self.ga.gens >= 1, "ga.gens must be >= 1"),
-            (self.ga.tournament >= 1, "ga.tournament must be >= 1"),
-            # evolve carries over at most the one best individual
-            (self.ga.elitism in (0, 1), "ga.elitism must be 0 or 1"),
-            (0.0 <= self.ga.crossover_rate <= 1.0, "ga.crossover_rate must be in [0, 1]"),
-            (0.0 <= self.ga.mutation_prob <= 1.0, "ga.mutation_prob must be in [0, 1]"),
-            (self.ga.sigma_fraction >= 0.0, "ga.sigma_fraction must be >= 0"),
-            (0.0 < self.ga.sigma_decay <= 1.0, "ga.sigma_decay must be in (0, 1]"),
             (self.synth.products >= 1, "synth.products must be >= 1"),
             (self.synth.days >= 30, "synth.days must be >= 30"),
         ]
+        # an empty boundaries path means no override; any other path names a file
+        checks += [(getattr(self.paths, f.name) != "", f"paths.{f.name} must not be empty")
+                   for f in dataclasses.fields(self.paths) if f.name != "boundaries"]
         for ok, message in checks:
             if not ok:
                 raise InputError(message)
 
     def flat_items(self) -> list[tuple[str, str]]:
         items: list[tuple[str, str]] = [("seed", str(self.seed))]
-        for section_name in ("window", "tcn", "train", "bootstrap", "topsis", "ga", "synth", "paths"):
-            section = getattr(self, section_name)
+        for section_name, section in self._sections().items():
             for f in dataclasses.fields(section):
                 value = getattr(section, f.name)
                 if isinstance(value, list):
@@ -152,11 +131,12 @@ class RunConfig:
                 items.append((f"{section_name}.{f.name}", text))
         return items
 
+    def _sections(self) -> dict[str, object]:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "seed"}
+
 
 def _coerce(current, text: str, key: str):
     try:
-        if isinstance(current, bool):
-            return text.lower() in ("1", "true", "yes")
         if isinstance(current, int):
             return int(text)
         if isinstance(current, float):
@@ -169,17 +149,14 @@ def _coerce(current, text: str, key: str):
 
 
 def apply_setting(config: RunConfig, key: str, text: str) -> None:
-    """Set one flat key (e.g. 'ga.pop') on the config, coercing to its type."""
+    """Set one flat key (e.g. 'ga.pop') on the config, coercing to its type.
+    A key is `seed` or `section.field` for a dataclass field of a section."""
     if key == "seed":
         config.seed = _coerce(config.seed, text, key)
         return
-    if "." not in key:
-        raise InputError(f"unknown config key: {key}")
-    section_name, field_name = key.split(".", 1)
-    if not hasattr(config, section_name):
-        raise InputError(f"unknown config section: {section_name}")
-    section = getattr(config, section_name)
-    if not hasattr(section, field_name):
+    section_name, _, field_name = key.partition(".")
+    section = config._sections().get(section_name)
+    if section is None or field_name not in {f.name for f in dataclasses.fields(section)}:
         raise InputError(f"unknown config key: {key}")
     setattr(section, field_name, _coerce(getattr(section, field_name), text, key))
 

@@ -10,7 +10,7 @@ training stages run `fit_and_forecast` on a `FitTask`: numbers out, no model.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,29 @@ TERM_WIDTH = 10
 
 @dataclass
 class ModelConfig:
+    """The model's shape, which is also the run config's `tcn.*` keys.
+
+    `section` names the config section in error messages: the intervals
+    stage's replica model takes its channels and dilations from `bootstrap`,
+    and its kernel from `tcn`.
+    """
+
     channels: int = 16
-    kernel_size: int = 3
+    kernel: int = 3
     dilations: list[int] = field(default_factory=lambda: [1, 2])
+    section: InitVar[str] = "tcn"
+
+    def __post_init__(self, section: str):
+        self.validate(section)
+
+    def validate(self, section: str = "tcn") -> None:
+        if self.channels < 1:
+            raise InputError(f"{section}.channels must be >= 1, got {self.channels}")
+        if self.kernel < 1:
+            raise InputError(f"tcn.kernel must be >= 1, got {self.kernel}")
+        if min(self.dilations, default=0) < 1:
+            raise InputError(f"{section}.dilations must be non-empty, each >= 1, "
+                             f"got {self.dilations}")
 
 
 @dataclass
@@ -52,9 +72,9 @@ class ForecasterModel:
         config = config if config is not None else ModelConfig()
         rng = np.random.default_rng(seed)
         cost_branch = layers.TcnBranch.create(
-            rng, 1, config.channels, config.kernel_size, config.dilations)
+            rng, 1, config.channels, config.kernel, config.dilations)
         term_branch = layers.TcnBranch.create(
-            rng, TERM_WIDTH, config.channels, config.kernel_size, config.dilations)
+            rng, TERM_WIDTH, config.channels, config.kernel, config.dilations)
         head = layers.DenseLayer.create(rng, config.channels, HORIZON_DAYS)
         return cls(cost_branch, term_branch, head, normalizer, product_id)
 

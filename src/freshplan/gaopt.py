@@ -20,7 +20,7 @@ with pairs = ceil(pop / 2), crossover decisions [pairs], blend weights
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,28 +130,13 @@ def fitness(population: np.ndarray, contexts: list[ProductContext],
     return np.add.accumulate(profit, axis=1)[:, -1]
 
 
-@dataclass
-class MutationConfig:
-    prob: float = 0.1            # per-gene mutation probability
-    sigma_fraction: float = 0.1  # Gaussian sigma as a fraction of the gene's box width
-    decay: float = 0.995         # multiplicative sigma decay per generation
-
-    def __post_init__(self):
-        if not 0.0 <= self.prob <= 1.0:
-            raise InputError(f"mutation probability must be in [0, 1], got {self.prob}")
-        if self.sigma_fraction < 0.0:
-            raise InputError(f"sigma_fraction must be >= 0, got {self.sigma_fraction}")
-        if not 0.0 < self.decay <= 1.0:
-            raise InputError(f"decay must be in (0, 1], got {self.decay}")
-
-
-def gaussian_mutate(population: np.ndarray, boxes: GeneBoxes, cfg: MutationConfig,
+def gaussian_mutate(population: np.ndarray, boxes: GeneBoxes, cfg: GaConfig,
                     rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Add zero-mean Gaussian noise to randomly selected genes of a [P, 2N]
     population (or one [2N] chromosome); sigma is `scale * sigma_fraction * box
     width` per gene.  Draws the whole mask, then the whole noise."""
     c = np.asarray(population, dtype=np.float64)
-    mask = rng.random(c.shape) < cfg.prob
+    mask = rng.random(c.shape) < cfg.mutation_prob
     noise = rng.normal(0.0, 1.0, size=c.shape) * (scale * cfg.sigma_fraction * boxes.width)
     return np.where(mask, c + noise, c)
 
@@ -178,25 +163,34 @@ class GenerationStats:
 
 @dataclass
 class GaConfig:
+    """The GA's settings, which are also the run config's `ga.*` keys."""
+
     pop: int = 200
     gens: int = 500
     tournament: int = 3
-    elitism: int = 1
+    elitism: int = 1             # 1 carries the best individual so far over
     crossover_rate: float = 0.9
-    mutation: MutationConfig = field(default_factory=MutationConfig)
-    seed: int = 0
+    mutation_prob: float = 0.1   # per-gene mutation probability
+    sigma_fraction: float = 0.1  # Gaussian sigma as a fraction of the gene's box width
+    sigma_decay: float = 0.995   # multiplicative sigma decay per generation
 
     def __post_init__(self):
-        if self.pop < 1:
-            raise InputError(f"GA pop must be >= 1, got {self.pop}")
-        if self.gens < 0:
-            raise InputError(f"GA gens must be >= 0, got {self.gens}")
-        if self.tournament < 1:
-            raise InputError(f"GA tournament must be >= 1, got {self.tournament}")
-        if self.elitism not in (0, 1):
-            raise InputError(f"GA elitism must be 0 or 1, got {self.elitism}")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise InputError(f"GA crossover_rate must be in [0, 1], got {self.crossover_rate}")
+        self.validate()
+
+    def validate(self) -> None:
+        checks = [
+            ("pop", self.pop >= 1, ">= 1"),
+            ("gens", self.gens >= 0, ">= 0"),
+            ("tournament", self.tournament >= 1, ">= 1"),
+            ("elitism", self.elitism in (0, 1), "0 or 1"),
+            ("crossover_rate", 0.0 <= self.crossover_rate <= 1.0, "in [0, 1]"),
+            ("mutation_prob", 0.0 <= self.mutation_prob <= 1.0, "in [0, 1]"),
+            ("sigma_fraction", 0.0 <= self.sigma_fraction < math.inf, "finite and >= 0"),
+            ("sigma_decay", 0.0 < self.sigma_decay <= 1.0, "in (0, 1]"),
+        ]
+        for name, ok, bound in checks:
+            if not ok:
+                raise InputError(f"ga.{name} must be {bound}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -233,14 +227,15 @@ def breed(pop: np.ndarray, fits: np.ndarray, boxes: GeneBoxes, config: GaConfig,
     children = np.stack([np.where(crossed, blend_a, parents_a),
                          np.where(crossed, blend_b, parents_b)], axis=1)
     children = children.reshape(2 * pairs, -1)[:size]
-    return repair(gaussian_mutate(children, boxes, config.mutation, rng, scale), boxes)
+    return repair(gaussian_mutate(children, boxes, config, rng, scale), boxes)
 
 
-def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> GaResult:
+def evolve(contexts: list[ProductContext], config: GaConfig | None = None,
+           seed: int = 0) -> GaResult:
     """Run the GA.  Only with `elitism` 1 is the best individual so far carried
     over, in place of the worst child, so that the trace's best never falls.
 
-    The generator is seeded with `config.seed`.  It draws the [pop, 2N] initial
+    The generator is seeded with `seed`.  It draws the [pop, 2N] initial
     population, then per generation: tournament contenders, crossover
     decisions, blend weights, mutation mask and mutation noise, each as one
     population-wide block."""
@@ -250,7 +245,7 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> Ga
         raise InputError("no feasible plan")
     config = config if config is not None else GaConfig()
     boxes = gene_boxes(contexts)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     pop = rng.uniform(boxes.low, boxes.high, size=(config.pop, boxes.low.size))
     fits = fitness(pop, contexts, boxes)
@@ -278,7 +273,7 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None) -> Ga
             children[worst] = best
             child_fits[worst] = best_fit
         pop, fits = children, child_fits
-        scale *= config.mutation.decay
+        scale *= config.sigma_decay
 
         trace.append(GenerationStats(
             generation=gen,

@@ -69,7 +69,7 @@ def test_a03_gradient_oracle_on_micro_forecaster():
     rng = np.random.default_rng(7)
     model = ForecasterModel.create(
         pipeline.Normalizer(0.0, 1.0), "micro", seed=123,
-        config=ModelConfig(channels=5, kernel_size=3, dilations=[1, 2]))
+        config=ModelConfig(channels=5, kernel=3, dilations=[1, 2]))
     history = rng.uniform(0.1, 0.9, 15)[None, :, None]
     terms = encode_date_range(dt.date(2023, 3, 1), 7)[None, :, :]
     target = rng.uniform(0.1, 0.9, 7)[None, :]
@@ -193,7 +193,7 @@ def test_a06_topsis_oracle():
 def test_a07_forecaster_beats_naive_baseline():
     started = time.perf_counter()
     costs, _, _ = pipeline.generate_synthetic(61, 730, seed=42)
-    config = ModelConfig(channels=8, kernel_size=3, dilations=[1, 2])
+    config = ModelConfig(channels=8, kernel=3, dilations=[1, 2])
     wins, improvements = 0, []
     for pid in sorted(costs):
         frame = costs[pid]
@@ -222,7 +222,7 @@ def test_a08_bootstrap_coverage():
     params = pipeline.SyntheticParams(sales_noise_fraction=0.03, price_noise_fraction=0.03)
     _, sales, _ = pipeline.generate_synthetic(17, 452, seed=42, params=params)
     cutoff, weeks = 430, 3
-    config = ModelConfig(channels=8, kernel_size=3, dilations=[1])
+    config = ModelConfig(channels=8, kernel=3, dilations=[1])
     hits = trials = 0
     monotone_checked = 0
     for pid in sorted(sales):
@@ -264,7 +264,7 @@ def test_a09_ga_reaches_analytic_optimum():
     price, alloc, target = single_product_grid_optimum()
     assert (price, alloc) == (pytest.approx(6.0, abs=0.02), pytest.approx(4.0, abs=0.02))
     for seed in range(10):
-        result = gaopt.evolve(_analytic_context(), GaConfig(pop=100, gens=200, seed=seed))
+        result = gaopt.evolve(_analytic_context(), GaConfig(pop=100, gens=200), seed=seed)
         assert result.best_fitness >= 0.98 * target, \
             f"seed {seed}: {result.best_fitness:.3f} < 98% of {target:.3f}"
         peaks = [s.max_fitness for s in result.trace]
@@ -296,7 +296,7 @@ def test_a10_ga_beats_equal_budget_random_search():
     contexts = _instance_32()
     wins = 0
     for seed in range(10):
-        result = gaopt.evolve(contexts, GaConfig(pop=100, gens=100, seed=seed))
+        result = gaopt.evolve(contexts, GaConfig(pop=100, gens=100), seed=seed)
         _, random_best = gaopt.random_search(contexts, result.evaluations, seed=seed + 5000)
         wins += result.best_fitness >= random_best
     assert wins >= 9, f"GA won only {wins}/10 seeds"

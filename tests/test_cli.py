@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import gc
+import json
 import multiprocessing
 import os
 import shutil
@@ -226,6 +227,44 @@ class TestOptimizeSkips:
         [entry] = manifest.data["stages"]["optimize"]["skipped"]
         assert entry["product_id"] == top
         assert top in entry["reason"] and reason in entry["reason"]
+
+class TestOptimizeAtGaEdges:
+    """The GA bounds the library accepts (pop 1, no generations) run end to end."""
+
+    def optimize(self, full_run, tmp_path, monkeypatch, *settings):
+        cfg, src, _ = full_run
+        out = tmp_path / "run"
+        shutil.copytree(src, out)
+        decoded = []
+
+        def recording_decode(chromosome, contexts):
+            decoded.append((chromosome, contexts))
+            return decode_plan(chromosome, contexts)
+
+        decode_plan = cli.gaopt.decode_plan
+        monkeypatch.setattr(cli.gaopt, "decode_plan", recording_decode)
+        flags = [f for key in (f"topsis.top_k={cfg.topsis.top_k}", *settings) for f in ("--set", key)]
+        assert cli.run([*flags, "--out", str(out), "optimize"]) == 0
+        [(best, contexts)] = decoded
+        return out, best, contexts
+
+    def test_no_generations(self, full_run, tmp_path, monkeypatch):
+        out, best, contexts = self.optimize(full_run, tmp_path, monkeypatch, "ga.gens=0")
+        assert (out / "ga_trace.csv").read_text() == ",".join(cli.GA_TRACE_HEADER) + "\n"
+        stage = json.loads((out / "manifest.json").read_text())["stages"]["optimize"]
+        assert stage["last_improving_generation"] == -1
+        boxes = cli.gaopt.gene_boxes(contexts)
+        assert np.all(boxes.low <= best) and np.all(best <= boxes.high)
+        plan = read_table(out / "plan.csv")
+        assert [r["product_id"] for r in plan] == [ctx.product_id for ctx in contexts]
+        genes = np.array([[float(r["price"]), float(r["allocation"])] for r in plan]).ravel()
+        rounding = 5e-7  # the CSV keeps 6 decimals
+        assert np.all(boxes.low - rounding <= genes) and np.all(genes <= boxes.high + rounding)
+
+    def test_population_of_one(self, full_run, tmp_path, monkeypatch):
+        out, _, _ = self.optimize(full_run, tmp_path, monkeypatch, "ga.pop=1", "ga.gens=5")
+        assert len(read_rows(out / "ga_trace.csv")) == 5
+
 
 class TestIntervalLevels:
     def test_higher_level_never_narrower(self, tmp_path):
@@ -478,7 +517,7 @@ class TestWorkerPool:
         ensemble = intervals.bootstrap_train(
             frame, replicas=3, min_fraction=config.bootstrap.min_fraction,
             seed=derive_seed(config.seed, "intervals", frame.product_id),
-            config=ModelConfig(channels=4, kernel_size=config.tcn.kernel,
+            config=ModelConfig(channels=4, kernel=config.tcn.kernel,
                                dilations=config.bootstrap.dilations),
             epochs=2, lr=config.bootstrap.lr)
         interval = intervals.predict_interval(

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from freshplan.config import RunConfig, apply_setting, derive_seed, load_config
@@ -37,9 +40,11 @@ def test_file_and_overrides(tmp_path):
     assert cfg.paths.costs == "c.csv"
 
 
-def test_unknown_key_rejected():
+@pytest.mark.parametrize("key", ["ga.popsize", "ga.__doc__", "ga.__class__",
+                                 "window.horizon_days"])
+def test_unknown_key_rejected(key):
     with pytest.raises(InputError, match="unknown config key"):
-        apply_setting(RunConfig(), "ga.popsize", "10")
+        apply_setting(RunConfig(), key, "10")
 
 
 def test_bad_value_rejected():
@@ -62,6 +67,8 @@ def test_bad_value_rejected():
     "bootstrap.lr=0",
     "ga.elitism=2",
     "ga.elitism=-1",
+    "paths.costs=",
+    "paths.plan=",
 ])
 def test_invalid_combination_rejected(tmp_path, setting):
     path = tmp_path / "run.cfg"
@@ -92,3 +99,13 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(42, "forecast", "P01") != derive_seed(42, "forecast", "P02")
     assert derive_seed(42, "forecast", "P01") != derive_seed(43, "forecast", "P01")
     assert derive_seed(42, "intervals", "P01") != derive_seed(42, "forecast", "P01")
+
+
+def test_readme_default_keys_match_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Default config keys", 1)[1].split("```")[1]
+    documented = dict(re.findall(r"(?:^|\s)([a-z_]+(?:\.[a-z_]+)?)=(\S*)", block))
+    defaults = dict(RunConfig().flat_items())
+    assert {key: defaults.get(key) for key in documented} == documented
+    # the paths.* keys are abbreviated in README
+    assert {key for key in defaults if not key.startswith("paths.")} <= set(documented)

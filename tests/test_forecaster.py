@@ -16,7 +16,7 @@ from freshplan.forecaster import (
 )
 from freshplan.pipeline import Normalizer, SeriesFrame, fit_normalizer, make_windows
 
-MICRO = ModelConfig(channels=4, kernel_size=2, dilations=[1])
+MICRO = ModelConfig(channels=4, kernel=2, dilations=[1])
 
 
 def toy_frame(days=40, seed=0):
@@ -31,6 +31,17 @@ def toy_model(frame, seed=0, config=MICRO):
     windows = make_windows(frame, normalizer=normalizer)
     model = ForecasterModel.create(normalizer, frame.product_id, seed, config)
     return model, windows
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"dilations": []}, "tcn.dilations must be non-empty"),
+    ({"channels": 0}, "tcn.channels must be >= 1"),
+    ({"kernel": 0}, "tcn.kernel must be >= 1"),
+    ({"channels": 0, "section": "bootstrap"}, "bootstrap.channels must be >= 1"),
+])
+def test_bad_model_config_rejected(fields, message):
+    with pytest.raises(InputError, match=message):
+        ModelConfig(**fields)
 
 
 class TestTrain:
@@ -111,7 +122,7 @@ class TestGradientOracle:
     def test_full_model_gradients_match_finite_differences(self):
         frame = toy_frame()
         model, windows = toy_model(frame, seed=123,
-                                   config=ModelConfig(channels=5, kernel_size=3, dilations=[1, 2]))
+                                   config=ModelConfig(channels=5, kernel=3, dilations=[1, 2]))
         h = windows.histories[:1, :, None]
         t = windows.terms[:1]
         y = windows.targets[:1]
@@ -177,7 +188,7 @@ def test_branch_width_mismatch_rejected():
 
 def test_loss_graph_size_does_not_depend_on_kernel_size():
     def loss_nodes(kernel_size, dilations):
-        config = ModelConfig(channels=4, kernel_size=kernel_size, dilations=dilations)
+        config = ModelConfig(channels=4, kernel=kernel_size, dilations=dilations)
         model = ForecasterModel.create(Normalizer(0.0, 1.0), "G", 0, config)
         history = ad.Tensor(np.zeros((8, 15, 1)))
         terms = ad.Tensor(np.zeros((8, 7, forecaster.TERM_WIDTH)))

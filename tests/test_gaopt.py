@@ -1,4 +1,9 @@
 import copy
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,6 @@ from freshplan.demand import DemandCurve
 from freshplan.errors import InputError, InvariantError
 from freshplan.gaopt import (
     GaConfig,
-    MutationConfig,
     ProductContext,
     breed,
     crossover,
@@ -170,7 +174,7 @@ class TestMutation:
     def test_zero_sigma_is_identity(self):
         ctx = analytic_context()
         boxes = gene_boxes(ctx)
-        cfg = MutationConfig(prob=1.0, sigma_fraction=0.0)
+        cfg = GaConfig(mutation_prob=1.0, sigma_fraction=0.0)
         pop = chromosomes([6.0, 4.0], [1.0, 3.0])
         out = gaussian_mutate(pop, boxes, cfg, np.random.default_rng(0))
         assert np.array_equal(out, pop)
@@ -178,24 +182,24 @@ class TestMutation:
     def test_zero_probability_is_identity(self):
         ctx = analytic_context()
         boxes = gene_boxes(ctx)
-        cfg = MutationConfig(prob=0.0, sigma_fraction=0.5)
+        cfg = GaConfig(mutation_prob=0.0, sigma_fraction=0.5)
         pop = chromosomes([6.0, 4.0], [1.0, 3.0])
         assert np.array_equal(gaussian_mutate(pop, boxes, cfg, np.random.default_rng(0)), pop)
 
     def test_single_row_still_works(self):
         ctx = analytic_context()
         boxes = gene_boxes(ctx)
-        cfg = MutationConfig(prob=0.5, sigma_fraction=0.3)
+        cfg = GaConfig(mutation_prob=0.5, sigma_fraction=0.3)
         c = np.array([6.0, 4.0])
         row = gaussian_mutate(c, boxes, cfg, np.random.default_rng(7))
-        mask = np.random.default_rng(7).random(2) < cfg.prob
+        mask = np.random.default_rng(7).random(2) < cfg.mutation_prob
         assert row.shape == (2,)
         assert np.array_equal(row == c, ~mask)
 
     def test_perturbations_have_zero_mean(self):
         ctx = analytic_context()
         boxes = gene_boxes(ctx)
-        cfg = MutationConfig(prob=1.0, sigma_fraction=0.1)
+        cfg = GaConfig(mutation_prob=1.0, sigma_fraction=0.1)
         rng = np.random.default_rng(123)
         c = np.array([6.0, 4.0])
         trials = 100_000
@@ -203,12 +207,6 @@ class TestMutation:
         sigma = cfg.sigma_fraction * boxes.width
         for g in range(2):
             assert abs(deltas[:, g].mean()) < 3.0 * sigma[g] / np.sqrt(trials)
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(InputError):
-            MutationConfig(prob=1.5)
-        with pytest.raises(InputError):
-            MutationConfig(decay=0.0)
 
 
 class TestCrossover:
@@ -245,9 +243,10 @@ class TestGaConfig:
     @pytest.mark.parametrize("field,value", [
         ("pop", 0), ("pop", -3), ("gens", -1), ("tournament", 0), ("elitism", -1),
         ("elitism", 2), ("elitism", 3), ("crossover_rate", -0.1), ("crossover_rate", 2.0),
-        ("crossover_rate", float("nan"))])
+        ("crossover_rate", float("nan")), ("mutation_prob", 1.5), ("sigma_decay", 0.0),
+        ("sigma_fraction", float("nan")), ("sigma_fraction", float("inf"))])
     def test_bad_field_rejected(self, field, value):
-        with pytest.raises(InputError, match=f"GA {field} "):
+        with pytest.raises(InputError, match=f"ga.{field} "):
             GaConfig(**{field: value})
 
     def test_edges_accepted(self):
@@ -260,20 +259,20 @@ class TestEvolve:
         target = grid_optimum()
         assert target == pytest.approx(16.0, abs=0.01)
         for seed in range(10):
-            res = evolve(analytic_context(), GaConfig(pop=100, gens=200, seed=seed))
+            res = evolve(analytic_context(), GaConfig(pop=100, gens=200), seed=seed)
             assert res.best_fitness >= 0.98 * target
             peaks = [s.max_fitness for s in res.trace]
             assert all(b >= a for a, b in zip(peaks, peaks[1:]))
 
     def test_deterministic_per_seed(self):
-        a = evolve(analytic_context(), GaConfig(pop=30, gens=40, seed=5))
-        b = evolve(analytic_context(), GaConfig(pop=30, gens=40, seed=5))
+        a = evolve(analytic_context(), GaConfig(pop=30, gens=40), seed=5)
+        b = evolve(analytic_context(), GaConfig(pop=30, gens=40), seed=5)
         assert np.array_equal(a.best, b.best)
         assert [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in a.trace] == \
                [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in b.trace]
 
     def test_stats_ordering_every_generation(self):
-        res = evolve(analytic_context(), GaConfig(pop=40, gens=50, seed=2))
+        res = evolve(analytic_context(), GaConfig(pop=40, gens=50), seed=2)
         assert len(res.trace) == 50
         for s in res.trace:
             assert s.min_fitness <= s.avg_fitness <= s.max_fitness
@@ -282,7 +281,7 @@ class TestEvolve:
         curve = DemandCurve("X", 1.0, -1.0, 1.0, 10, 1.0)
         interval = SalesInterval("X", 0.0, 0.0, 0.0, 0.0, 0.95)
         with pytest.raises(InputError, match="no feasible plan"):
-            evolve([ProductContext("X", 1.0, curve, interval)], GaConfig(pop=10, gens=5, seed=0))
+            evolve([ProductContext("X", 1.0, curve, interval)], GaConfig(pop=10, gens=5), seed=0)
 
     def test_empty_context_rejected(self):
         with pytest.raises(InputError):
@@ -351,7 +350,7 @@ def test_generation_matches_child_by_child_reference(products, pop_size, tournam
     fits = fitness(pop, ctx, boxes)
     fits[rng.integers(0, pop_size, size=pop_size)] = fits.max()  # ties: the first contender must win
     config = GaConfig(pop=pop_size, tournament=tournament, crossover_rate=rate,
-                      mutation=MutationConfig(prob=prob, sigma_fraction=0.2))
+                      mutation_prob=prob, sigma_fraction=0.2)
 
     twin = copy.deepcopy(rng)
     pairs, genes = (pop_size + 1) // 2, boxes.low.size
@@ -367,7 +366,7 @@ def test_generation_matches_child_by_child_reference(products, pop_size, tournam
 
 
 def test_last_improvement_is_last_rise_of_best():
-    res = evolve(_instance_32(), GaConfig(pop=30, gens=60, seed=4))
+    res = evolve(_instance_32(), GaConfig(pop=30, gens=60), seed=4)
     best = [s.max_fitness for s in res.trace]
     rises = [g for g in range(1, len(best)) if best[g] > best[g - 1]]
     assert 0 <= res.last_improvement == rises[-1] < 60
@@ -375,7 +374,7 @@ def test_last_improvement_is_last_rise_of_best():
 
 
 def test_no_generations_means_no_improvement():
-    res = evolve(analytic_context(), GaConfig(pop=5, gens=0, seed=0))
+    res = evolve(analytic_context(), GaConfig(pop=5, gens=0), seed=0)
     assert (res.last_improvement, res.trace, res.evaluations) == (-1, [], 5)
 
 
@@ -385,7 +384,7 @@ def test_draw_order_does_not_depend_on_batching(monkeypatch):
     contexts = _instance_32()
 
     def run():
-        result = evolve(contexts, GaConfig(pop=31, gens=40, seed=3))
+        result = evolve(contexts, GaConfig(pop=31, gens=40), seed=3)
         best, best_fit = gaopt.random_search(contexts, result.evaluations, seed=5003)
         trace = [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in result.trace]
         return result.best.tobytes(), result.best_fitness, trace, result.evaluations, \
@@ -396,3 +395,16 @@ def test_draw_order_does_not_depend_on_batching(monkeypatch):
         [plan_profit_reference(row, contexts) for row in pop]))
     assert run() == batched
     assert batched[3] > gaopt.RANDOM_SEARCH_BLOCK  # random search spans more than one block
+
+
+def test_ga_convergence_script_writes_its_trace(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    out = tmp_path / "trace.csv"
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    proc = subprocess.run([sys.executable, str(repo / "scripts" / "ga_convergence.py"), str(out), "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["generation", "max", "min", "avg"]
+    assert [row[0] for row in rows[1:]] == [str(g) for g in range(200)]

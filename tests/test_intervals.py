@@ -16,7 +16,7 @@ from freshplan.intervals import (
 from freshplan.pipeline import SeriesFrame
 from freshplan.solarterms import encode_date_range
 
-TINY = ModelConfig(channels=4, kernel_size=2, dilations=[1])
+TINY = ModelConfig(channels=4, kernel=2, dilations=[1])
 
 
 def sales_frame(days=120, seed=0):
