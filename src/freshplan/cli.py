@@ -149,14 +149,12 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
     manifest.note_input("costs", costs_path)
 
     usable, skipped = _usable_frames(frames, config.window.input_days + HORIZON_DAYS, "forecast")
-    batch_size = config.train.batch_size if config.train.batch_size > 0 else None
     tasks = []
     for frame in usable:
         seed = derive_seed(config.seed, "forecast", frame.product_id)
         history, terms = forecaster.next_week(frame, table, config.window.input_days)
         tasks.append(forecaster.FitTask(frame, table, config.tcn, seed, derive_seed(seed, "order"),
-                                        config.train.epochs, config.train.lr, batch_size,
-                                        history, terms))
+                                        config.train, history, terms))
     with _task_map(len(tasks)) as (task_map, jobs):
         results = list(task_map(forecaster.fit_and_forecast, tasks))
     rows, curve_rows = [], []
@@ -184,21 +182,13 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
     qty_frames, _ = pipeline.load_sales(str(sales_path))
     manifest.note_input("sales", sales_path)
 
-    base_cfg = config.replica_model()
+    model = config.bootstrap.model(config.tcn.kernel)
     usable, skipped = _usable_frames(
         qty_frames, config.window.input_days + HORIZON_DAYS, "intervals")
     # One flat task stream, so that one product's replicas also spread over the workers.
     tasks = (task for frame in usable for task in intervals_mod.replica_tasks(
-        frame,
-        replicas=config.bootstrap.replicas,
-        min_fraction=config.bootstrap.min_fraction,
-        seed=derive_seed(config.seed, "intervals", frame.product_id),
-        table=table,
-        config=base_cfg,
-        epochs=config.bootstrap.epochs,
-        lr=config.bootstrap.lr,
-        input_days=config.window.input_days,
-    ))
+        frame, config.bootstrap, model, derive_seed(config.seed, "intervals", frame.product_id),
+        table, config.window.input_days))
     with _task_map(len(usable) * config.bootstrap.replicas) as (task_map, jobs):
         weeks = [week for week, _ in task_map(forecaster.fit_and_forecast, tasks)]
     level = config.bootstrap.level
@@ -273,7 +263,8 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
                  baseline: str | None = None) -> None:
     started = manifest.start_stage("optimize")
     forecast_path, intervals_path = out_dir / config.paths.forecast, out_dir / config.paths.intervals
-    ranking_rows = pipeline.read_rows(out_dir / config.paths.ranking, RANKING_HEADER)
+    ranking_path = out_dir / config.paths.ranking
+    ranking_rows = pipeline.read_rows(ranking_path, RANKING_HEADER)
     forecast_rows = pipeline.read_rows(forecast_path, FORECAST_HEADER)
     interval_rows = pipeline.read_rows(intervals_path, INTERVALS_HEADER)
     qty_frames, price_frames = pipeline.load_sales(str(out_dir / config.paths.sales))
@@ -296,8 +287,11 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
             product_id=pid, mean=number("mean"), std=number("std"),
             lower=lower, upper=number("upper", lower), level=number("level"))
 
-    ranked_ids = [row["product_id"] for _, row in ranking_rows]
-    selected = ranked_ids[:min(config.topsis.top_k, len(ranked_ids))]
+    ranking_lines: dict[str, int] = {}  # in rank order
+    for line, row in ranking_rows:
+        pid = row["product_id"]
+        pipeline.check_first(ranking_lines, pid, ranking_path, line, pid)
+    selected = list(ranking_lines)[:config.topsis.top_k]
 
     contexts, demand_rows, skipped = [], [], []
 
@@ -400,8 +394,16 @@ STAGES = {
 RUN_ALL_ORDER = ["synth", "forecast", "intervals", "rank", "optimize"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 1), so
+    that exit 2 keeps its one meaning, an invariant violation."""
+
+    def error(self, message: str):
+        raise InputError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freshplan",
         description="Cost forecasting and price/allocation planning for fresh produce",
     )

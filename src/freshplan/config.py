@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,8 +19,9 @@ from typing import ClassVar
 
 from . import __version__
 from .errors import InputError
-from .forecaster import ModelConfig
+from .forecaster import ModelConfig, TrainConfig
 from .gaopt import GaConfig
+from .intervals import BootstrapConfig
 from .pipeline import HORIZON_DAYS
 
 
@@ -30,25 +30,6 @@ class WindowConfig:
     input_days: int = 15
     # Not a key: the model head and the weekly decision loop are built for 7 days.
     horizon_days: ClassVar[int] = HORIZON_DAYS
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 100
-    lr: float = 1e-3
-    batch_size: int = 64  # 0 = full batch
-
-
-@dataclass
-class BootstrapConfig:
-    replicas: int = 100
-    min_fraction: float = 0.7
-    level: float = 0.95
-    # Reduced-capacity base learner; full size is a config choice away.
-    channels: int = 8
-    dilations: list[int] = field(default_factory=lambda: [1])
-    epochs: int = 30
-    lr: float = 1e-2
 
 
 @dataclass
@@ -88,26 +69,14 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
-    def replica_model(self) -> ModelConfig:
-        """The intervals stage's base learner: `bootstrap` channels and
-        dilations with the `tcn` kernel."""
-        return ModelConfig(self.bootstrap.channels, self.tcn.kernel,
-                           list(self.bootstrap.dilations), section="bootstrap")
-
     def validate(self) -> None:
+        # Each section checked itself when built; `apply_setting` sets fields after that.
         self.ga.validate()
         self.tcn.validate()
-        self.replica_model()  # checks bootstrap.channels and bootstrap.dilations
+        self.train.validate()
+        self.bootstrap.validate()
         checks = [
             (self.window.input_days >= 1, "window.input_days must be >= 1"),
-            (self.train.epochs >= 0, "train.epochs must be >= 0"),
-            (0.0 < self.train.lr < math.inf, "train.lr must be finite and > 0"),
-            (self.train.batch_size >= 0, "train.batch_size must be >= 0 (0 = full batch)"),
-            (self.bootstrap.replicas >= 1, "bootstrap.replicas must be >= 1"),
-            (0.0 < self.bootstrap.min_fraction <= 1.0, "bootstrap.min_fraction must be in (0, 1]"),
-            (0.0 < self.bootstrap.level < 1.0, "bootstrap.level must be in (0, 1)"),
-            (self.bootstrap.epochs >= 0, "bootstrap.epochs must be >= 0"),
-            (0.0 < self.bootstrap.lr < math.inf, "bootstrap.lr must be finite and > 0"),
             (self.topsis.top_k >= 1, "topsis.top_k must be >= 1"),
             (self.synth.products >= 1, "synth.products must be >= 1"),
             (self.synth.days >= 30, "synth.days must be >= 30"),

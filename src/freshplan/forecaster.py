@@ -3,8 +3,9 @@
 One branch convolves the scaled 15-day cost history, the other the 7x10
 solar-term bit matrix of the target week; attention fuses both into a single
 feature row and an affine head emits the 7 scaled daily costs.  Training
-minimizes MSE on scaled targets with Adam, full-batch by default.  Both
-training stages run `fit_and_forecast` on a `FitTask`: numbers out, no model.
+minimizes MSE on scaled targets with Adam, in shuffled mini-batches of
+`TrainConfig.batch_size` windows.  Both training stages run `fit_and_forecast`
+on a `FitTask`: numbers out, no model.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ TERM_WIDTH = 10
 class ModelConfig:
     """The model's shape, which is also the run config's `tcn.*` keys.
 
-    `section` names the config section in error messages: the intervals
-    stage's replica model takes its channels and dilations from `bootstrap`,
-    and its kernel from `tcn`.
+    `section` names the config section in error messages: the replicas' model
+    (`intervals.BootstrapConfig.model`) takes its channels and dilations from
+    `bootstrap`, and its kernel from `tcn`.
     """
 
     channels: int = 16
@@ -50,6 +51,28 @@ class ModelConfig:
         if min(self.dilations, default=0) < 1:
             raise InputError(f"{section}.dilations must be non-empty, each >= 1, "
                              f"got {self.dilations}")
+
+
+@dataclass
+class TrainConfig:
+    """Training settings, which are also the run config's `train.*` keys."""
+
+    epochs: int = 100
+    lr: float = 1e-3
+    batch_size: int = 64  # 0 = full batch
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        checks = [
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("lr", 0.0 < self.lr < np.inf, "finite and > 0"),
+            ("batch_size", self.batch_size >= 0, ">= 0 (0 = full batch)"),
+        ]
+        for name, ok, bound in checks:
+            if not ok:
+                raise InputError(f"train.{name} must be {bound}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -102,19 +125,13 @@ class TrainReport:
     loss_curve: list[float]
 
 
-def train(
-    model: ForecasterModel,
-    windows: Windows,
-    epochs: int = 100,
-    lr: float = 1e-3,
-    seed: int = 0,
-    batch_size: int | None = None,
-) -> TrainReport:
+def train(model: ForecasterModel, windows: Windows, epochs: int, lr: float, seed: int = 0,
+          batch_size: int = 0) -> TrainReport:
     """Adam on MSE over scaled targets; one loss-curve entry per epoch.
 
-    The default is full-batch (each epoch is one update on the mean loss over
-    all windows); `batch_size` switches to deterministic shuffled mini-batches.
-    """
+    A `batch_size` of 0 or of at least the window count is full batch (each
+    epoch is one update on the mean loss over all windows); any other size
+    gives deterministic shuffled mini-batches."""
     if not windows:
         raise InputError("empty samples")
     histories, terms, targets = windows.histories, windows.terms, windows.targets
@@ -125,7 +142,7 @@ def train(
 
     loss_curve: list[float] = []
     for _ in range(epochs):
-        if batch_size is None or batch_size >= n:
+        if not 0 < batch_size < n:
             batches = [slice(None)]
         else:
             order = rng.permutation(n)
@@ -172,9 +189,7 @@ class FitTask:
     config: ModelConfig
     model_seed: int
     order_seed: int
-    epochs: int
-    lr: float
-    batch_size: int | None
+    train: TrainConfig
     history: np.ndarray
     terms: np.ndarray
 
@@ -194,8 +209,8 @@ def fit(task: FitTask) -> tuple[ForecasterModel, TrainReport]:
     normalizer = fit_normalizer(series.values)
     windows = make_windows(series, task.table, len(task.history), HORIZON_DAYS, normalizer)
     model = ForecasterModel.create(normalizer, series.product_id, task.model_seed, task.config)
-    report = train(model, windows, epochs=task.epochs, lr=task.lr, seed=task.order_seed,
-                   batch_size=task.batch_size)
+    report = train(model, windows, task.train.epochs, task.train.lr, seed=task.order_seed,
+                   batch_size=task.train.batch_size)
     return model, report
 
 

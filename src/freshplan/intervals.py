@@ -6,8 +6,9 @@ confidence interval.  The interval target is the weekly total because that is
 what the downstream allocation constraint binds; per-day statistics are kept
 as auxiliary output.
 
-`replica_tasks` checks the inputs and draws each replica's slice and seeds
-from `SeedSequence([seed, 577, r])` into one `forecaster.FitTask` per replica.
+A `BootstrapConfig` (the run config's `bootstrap.*` keys) sets the ensemble
+up; `replica_tasks` draws each replica's slice and seeds from
+`SeedSequence([seed, 577, r])` into one `forecaster.FitTask` per replica.
 A replica depends on nothing but its task, so any map over the tasks gives the
 same results: `bootstrap_train` fits them in turn and keeps the models, and the
 CLI maps `forecaster.fit_and_forecast` over every product's tasks in a process
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import forecaster
 from .errors import InputError
-from .forecaster import FitTask, ForecasterModel, ModelConfig
+from .forecaster import FitTask, ForecasterModel, ModelConfig, TrainConfig
 from .pipeline import HORIZON_DAYS, INPUT_DAYS, SeriesFrame
 from .solarterms import TermBoundaryTable
 
@@ -67,69 +68,77 @@ class BootstrapEnsemble:
     input_days: int = INPUT_DAYS
 
 
-# Reduced-capacity default base learner: interval quality rests on ensemble
-# diversity, not on per-replica depth.
-REPLICA_CONFIG = ModelConfig(channels=8, dilations=[1])
-REPLICA_EPOCHS = 30
+# Not a key: the replicas' mini-batch size.
+REPLICA_BATCH_SIZE = 64
 
 
-def replica_tasks(
-    sales: SeriesFrame,
-    replicas: int = 100,
-    min_fraction: float = 0.7,
-    seed: int = 0,
-    table: TermBoundaryTable | None = None,
-    config: ModelConfig | None = None,
-    epochs: int = REPLICA_EPOCHS,
-    lr: float = 1e-2,
-    batch_size: int | None = 64,
-    input_days: int = INPUT_DAYS,
-) -> list[FitTask]:
-    """One task per replica, each training on a contiguous random slice
-    covering at least `min_fraction` of the series and forecasting the week
-    after the whole series.  Replica r draws its slice length, slice start,
-    model seed and order seed, in that order, from (seed, r)."""
-    if replicas < 1:
-        raise InputError(f"replicas must be >= 1, got {replicas}")
-    if not 0.0 < min_fraction <= 1.0:
-        raise InputError(f"min_fraction must be in (0, 1], got {min_fraction}")
+@dataclass
+class BootstrapConfig:
+    """The ensemble's settings, which are also the run config's `bootstrap.*`
+    keys.  The replicas are reduced-capacity base learners, as interval
+    quality rests on ensemble diversity, not on per-replica depth."""
+
+    replicas: int = 100
+    min_fraction: float = 0.7
+    level: float = 0.95
+    channels: int = 8
+    dilations: list[int] = field(default_factory=lambda: [1])
+    epochs: int = 30
+    lr: float = 1e-2
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        checks = [
+            ("replicas", self.replicas >= 1, ">= 1"),
+            ("min_fraction", 0.0 < self.min_fraction <= 1.0, "in (0, 1]"),
+            ("level", 0.0 < self.level < 1.0, "in (0, 1)"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("lr", 0.0 < self.lr < math.inf, "finite and > 0"),
+        ]
+        for name, ok, bound in checks:
+            if not ok:
+                raise InputError(f"bootstrap.{name} must be {bound}, got {getattr(self, name)}")
+        self.model(kernel=1)  # checks channels and dilations; the kernel is a `tcn` key
+
+    def model(self, kernel: int) -> ModelConfig:
+        """The replicas' model: these channels and dilations with `kernel`."""
+        return ModelConfig(self.channels, kernel, list(self.dilations), section="bootstrap")
+
+
+def replica_tasks(sales: SeriesFrame, config: BootstrapConfig, model: ModelConfig, seed: int = 0,
+                  table: TermBoundaryTable | None = None,
+                  input_days: int = INPUT_DAYS) -> list[FitTask]:
+    """One `model` task per replica, each training on a contiguous random slice
+    covering at least `config.min_fraction` of the series and forecasting the
+    week after the whole series.  Replica r draws its slice length, slice
+    start, model seed and order seed, in that order, from (seed, r)."""
     n = len(sales)
-    min_len = max(int(math.ceil(min_fraction * n)), input_days + HORIZON_DAYS)
+    min_len = max(int(math.ceil(config.min_fraction * n)), input_days + HORIZON_DAYS)
     if min_len > n:
         raise InputError(f"series too short: {n} days cannot fit a "
                          f"{input_days + HORIZON_DAYS}-day training slice")
     table = table if table is not None else TermBoundaryTable()
-    config = config if config is not None else REPLICA_CONFIG
+    train = TrainConfig(config.epochs, config.lr, REPLICA_BATCH_SIZE)
     history, terms = forecaster.next_week(sales, table, input_days)
     tasks = []
-    for r in range(replicas):
+    for r in range(config.replicas):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 577, r]))
         length = int(rng.integers(min_len, n + 1))
         start = int(rng.integers(0, n - length + 1))
         model_seed = int(rng.integers(0, 2**31))
         order_seed = int(rng.integers(0, 2**31))
-        tasks.append(FitTask(sales.slice(start, start + length), table, config, model_seed,
-                             order_seed, epochs, lr, batch_size, history, terms))
+        tasks.append(FitTask(sales.slice(start, start + length), table, model, model_seed,
+                             order_seed, train, history, terms))
     return tasks
 
 
-def bootstrap_train(
-    sales: SeriesFrame,
-    replicas: int = 100,
-    min_fraction: float = 0.7,
-    seed: int = 0,
-    table: TermBoundaryTable | None = None,
-    config: ModelConfig | None = None,
-    epochs: int = REPLICA_EPOCHS,
-    lr: float = 1e-2,
-    batch_size: int | None = 64,
-    input_days: int = INPUT_DAYS,
-) -> BootstrapEnsemble:
-    """Train `replicas` forecasters, each on a contiguous random slice covering
-    at least `min_fraction` of the series.  Replica seeds derive from (seed, r).
-    """
-    tasks = replica_tasks(sales, replicas, min_fraction, seed, table, config, epochs, lr,
-                          batch_size, input_days)
+def bootstrap_train(sales: SeriesFrame, config: BootstrapConfig, model: ModelConfig,
+                    seed: int = 0, table: TermBoundaryTable | None = None,
+                    input_days: int = INPUT_DAYS) -> BootstrapEnsemble:
+    """The fitted models of `replica_tasks`, in replica order."""
+    tasks = replica_tasks(sales, config, model, seed, table, input_days)
     return BootstrapEnsemble(sales.product_id, [forecaster.fit(task)[0] for task in tasks],
                              input_days)
 

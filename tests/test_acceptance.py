@@ -222,14 +222,14 @@ def test_a08_bootstrap_coverage():
     params = pipeline.SyntheticParams(sales_noise_fraction=0.03, price_noise_fraction=0.03)
     _, sales, _ = pipeline.generate_synthetic(17, 452, seed=42, params=params)
     cutoff, weeks = 430, 3
+    bootstrap = iv.BootstrapConfig(replicas=25, min_fraction=0.5)
     config = ModelConfig(channels=8, kernel=3, dilations=[1])
     hits = trials = 0
     monotone_checked = 0
     for pid in sorted(sales):
         frame = sales[pid]
-        ensemble = iv.bootstrap_train(frame.slice(0, cutoff), replicas=25, min_fraction=0.5,
-                                      seed=derive_seed(42, "a8", pid), config=config,
-                                      epochs=30, lr=1e-2)
+        ensemble = iv.bootstrap_train(frame.slice(0, cutoff), bootstrap, config,
+                                      seed=derive_seed(42, "a8", pid))
         for week in range(weeks):
             t = cutoff + 7 * week
             history = frame.values[t - 15:t]

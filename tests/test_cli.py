@@ -4,7 +4,9 @@ import gc
 import json
 import multiprocessing
 import os
+import shlex
 import shutil
+import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -385,7 +387,7 @@ class TestBadInputRows:
         assert exit_code(monkeypatch, ["--out", str(out), "optimize"]) == 1
         assert f"{artifact}:3: {message}" in caplog.text
 
-    @pytest.mark.parametrize("artifact", ["forecast.csv", "intervals.csv"])
+    @pytest.mark.parametrize("artifact", ["forecast.csv", "intervals.csv", "ranking.csv"])
     def test_optimize_duplicate_artifact_row_rejected(self, full_run, tmp_path, monkeypatch,
                                                       caplog, artifact):
         out = tmp_path / "run"
@@ -515,11 +517,11 @@ class TestWorkerPool:
         config = load_config(None, overrides)
         (frame,) = pipeline.load_sales(str(tmp_path / "sales.csv"))[0].values()
         ensemble = intervals.bootstrap_train(
-            frame, replicas=3, min_fraction=config.bootstrap.min_fraction,
-            seed=derive_seed(config.seed, "intervals", frame.product_id),
-            config=ModelConfig(channels=4, kernel=config.tcn.kernel,
-                               dilations=config.bootstrap.dilations),
-            epochs=2, lr=config.bootstrap.lr)
+            frame, intervals.BootstrapConfig(replicas=3, min_fraction=config.bootstrap.min_fraction,
+                                             epochs=2, lr=config.bootstrap.lr),
+            ModelConfig(channels=4, kernel=config.tcn.kernel,
+                        dilations=config.bootstrap.dilations),
+            seed=derive_seed(config.seed, "intervals", frame.product_id))
         interval = intervals.predict_interval(
             ensemble, frame.values[-15:],
             encode_date_range(frame.dates[-1] + dt.timedelta(days=1), 7), level=0.9)
@@ -628,6 +630,40 @@ class TestCommandLine:
         assert exit_code(monkeypatch, [*out, "--set", "tcn.dilations=", "forecast"]) == 1
         assert "tcn.dilations must be non-empty" in caplog.text
         assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("argv", [
+        ["run-all", "--seed", "42"],  # a global flag after the subcommand
+        ["--seed", "x", "synth"],
+        ["optimize", "--baseline", "grid"],
+        [],
+    ])
+    def test_usage_error_exits_1_without_traceback(self, tmp_path, monkeypatch, capsys, caplog,
+                                                   argv):
+        assert exit_code(monkeypatch, ["--out", str(tmp_path / "out"), *argv]) == 1
+        assert "--help" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, monkeypatch, capsys):
+        assert exit_code(monkeypatch, ["--help"]) == 0
+        assert "usage: freshplan" in capsys.readouterr().out
+
+    def test_readme_usage_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("freshplan ")]
+        assert len(lines) == 7
+        for line in lines:
+            cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_demo_script_plans_its_top_k(self, tmp_path):
+        repo = Path(__file__).resolve().parents[1]
+        out = tmp_path / "demo"
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        proc = subprocess.run([sys.executable, str(repo / "scripts" / "demo_pipeline.py"),
+                               str(out)], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_rows(out / "plan.csv")) == 6  # topsis.top_k=6 of its 12 products
 
     def test_missing_input_is_input_error(self, tmp_path):
         with pytest.raises(InputError):

@@ -60,6 +60,12 @@ def test_bad_value_rejected():
     "bootstrap.dilations=-2",
     "bootstrap.channels=0",
     "bootstrap.epochs=-1",
+    "bootstrap.replicas=0",
+    "bootstrap.min_fraction=0",
+    "bootstrap.min_fraction=1.5",
+    "bootstrap.level=0",
+    "train.epochs=-1",
+    "train.batch_size=-1",
     "train.lr=nan",
     "train.lr=-1",
     "train.lr=0",
@@ -73,7 +79,8 @@ def test_bad_value_rejected():
 def test_invalid_combination_rejected(tmp_path, setting):
     path = tmp_path / "run.cfg"
     path.write_text(setting + "\n")
-    with pytest.raises(InputError):
+    key = setting.partition("=")[0]
+    with pytest.raises(InputError, match=re.escape(key)):
         load_config(str(path))
 
 

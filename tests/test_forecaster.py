@@ -1,5 +1,6 @@
 import datetime as dt
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from freshplan.errors import InputError
 from freshplan.forecaster import (
     ForecasterModel,
     ModelConfig,
+    TrainConfig,
     evaluate,
     predict,
     train,
 )
+from freshplan.intervals import BootstrapConfig
 from freshplan.pipeline import Normalizer, SeriesFrame, fit_normalizer, make_windows
 
 MICRO = ModelConfig(channels=4, kernel=2, dilations=[1])
@@ -42,6 +45,18 @@ def toy_model(frame, seed=0, config=MICRO):
 def test_bad_model_config_rejected(fields, message):
     with pytest.raises(InputError, match=message):
         ModelConfig(**fields)
+
+
+@pytest.mark.parametrize("config_type,fields,message", [
+    (BootstrapConfig, {"replicas": 0}, "bootstrap.replicas must be >= 1, got 0"),
+    (BootstrapConfig, {"channels": 0}, "bootstrap.channels must be >= 1, got 0"),
+    (TrainConfig, {"lr": 0}, "train.lr must be finite and > 0, got 0"),
+    (TrainConfig, {"batch_size": -1},
+     re.escape("train.batch_size must be >= 0 (0 = full batch), got -1")),
+])
+def test_bad_training_config_rejected(config_type, fields, message):
+    with pytest.raises(InputError, match=message):
+        config_type(**fields)
 
 
 class TestTrain:

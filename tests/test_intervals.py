@@ -8,6 +8,7 @@ from freshplan import forecaster, intervals as iv, pipeline
 from freshplan.errors import InputError
 from freshplan.forecaster import ModelConfig
 from freshplan.intervals import (
+    BootstrapConfig,
     bootstrap_train,
     normal_quantile,
     predict_interval,
@@ -49,25 +50,27 @@ def slices(tasks, frame):
 class TestBootstrapTrain:
     def test_single_replica_covers_min_fraction(self):
         frame = sales_frame()
-        ens = bootstrap_train(frame, replicas=1, min_fraction=0.7, seed=1,
-                              config=TINY, epochs=1)
+        ens = bootstrap_train(frame, BootstrapConfig(replicas=1, min_fraction=0.7, epochs=1),
+                              TINY, seed=1)
         assert len(ens.models) == 1
-        tasks = iv.replica_tasks(frame, replicas=1, min_fraction=0.7, seed=1, config=TINY,
-                                 epochs=1)
+        tasks = iv.replica_tasks(frame, BootstrapConfig(replicas=1, min_fraction=0.7, epochs=1),
+                                 TINY, seed=1)
         assert slices(tasks, frame)[0][1] >= int(np.ceil(0.7 * len(frame)))
 
     def test_deterministic_slices(self):
         frame = sales_frame()
-        a = iv.replica_tasks(frame, replicas=5, min_fraction=0.7, seed=3, config=TINY, epochs=1)
-        b = iv.replica_tasks(frame, replicas=5, min_fraction=0.7, seed=3, config=TINY, epochs=1)
+        a = iv.replica_tasks(frame, BootstrapConfig(replicas=5, min_fraction=0.7, epochs=1),
+                             TINY, seed=3)
+        b = iv.replica_tasks(frame, BootstrapConfig(replicas=5, min_fraction=0.7, epochs=1),
+                             TINY, seed=3)
         assert slices(a, frame) == slices(b, frame)
 
     def test_100_replicas_on_a_year_of_data(self):
         frame = sales_frame(days=365)
-        ens = bootstrap_train(frame, replicas=100, min_fraction=0.7, seed=5,
-                              config=TINY, epochs=0)
-        tasks = iv.replica_tasks(frame, replicas=100, min_fraction=0.7, seed=5,
-                                 config=TINY, epochs=0)
+        ens = bootstrap_train(frame, BootstrapConfig(replicas=100, min_fraction=0.7, epochs=0),
+                              TINY, seed=5)
+        tasks = iv.replica_tasks(frame, BootstrapConfig(replicas=100, min_fraction=0.7, epochs=0),
+                                 TINY, seed=5)
         n = len(frame)
         assert len(ens.models) == 100
         for start, length in slices(tasks, frame):
@@ -80,11 +83,12 @@ class TestBootstrapTrain:
 
     def test_replica_depends_only_on_its_task(self):
         frame = sales_frame()
-        ens = bootstrap_train(frame, replicas=4, min_fraction=0.7, seed=3, config=TINY, epochs=1)
-        tasks = iv.replica_tasks(frame, replicas=4, min_fraction=0.7, seed=3, config=TINY,
-                                 epochs=1)
-        fewer = iv.replica_tasks(frame, replicas=2, min_fraction=0.7, seed=3, config=TINY,
-                                 epochs=1)
+        ens = bootstrap_train(frame, BootstrapConfig(replicas=4, min_fraction=0.7, epochs=1),
+                              TINY, seed=3)
+        tasks = iv.replica_tasks(frame, BootstrapConfig(replicas=4, min_fraction=0.7, epochs=1),
+                                 TINY, seed=3)
+        fewer = iv.replica_tasks(frame, BootstrapConfig(replicas=2, min_fraction=0.7, epochs=1),
+                                 TINY, seed=3)
         assert slices(fewer, frame) == slices(tasks, frame)[:2]
         for r in (3, 1):  # out of order, alone
             model, _ = forecaster.fit(tasks[r])
@@ -94,8 +98,8 @@ class TestBootstrapTrain:
     def test_too_short_series_rejected(self):
         frame = sales_frame(days=30)
         with pytest.raises(InputError, match="too short"):
-            bootstrap_train(frame.slice(0, 20), replicas=1, min_fraction=0.7,
-                            config=TINY, epochs=1)
+            bootstrap_train(frame.slice(0, 20),
+                            BootstrapConfig(replicas=1, min_fraction=0.7, epochs=1), TINY)
 
 
 class TestPredictInterval:
@@ -106,8 +110,8 @@ class TestPredictInterval:
 
     def test_identical_replicas_zero_std(self):
         frame = sales_frame()
-        ens = bootstrap_train(frame, replicas=1, min_fraction=0.7, seed=7,
-                              config=TINY, epochs=2)
+        ens = bootstrap_train(frame, BootstrapConfig(replicas=1, min_fraction=0.7, epochs=2),
+                              TINY, seed=7)
         ens.models = ens.models * 3  # force identical members
         history, terms = self.make_inputs(frame)
         interval = predict_interval(ens, history, terms, level=0.95)
@@ -122,8 +126,8 @@ class TestPredictInterval:
 
     def test_lower_clamped_at_zero(self, monkeypatch):
         frame = sales_frame()
-        ens = bootstrap_train(frame, replicas=3, min_fraction=0.7, seed=11,
-                              config=TINY, epochs=0)
+        ens = bootstrap_train(frame, BootstrapConfig(replicas=3, min_fraction=0.7, epochs=0),
+                              TINY, seed=11)
         # totals 0, 1, 14: mean 5, std ~6.4, so mean - z*std < 0 at 95%
         outputs = iter([np.zeros(7), np.full(7, 1 / 7.0), np.full(7, 2.0)])
         monkeypatch.setattr(iv.forecaster, "predict",
@@ -136,8 +140,8 @@ class TestPredictInterval:
 
     def test_widens_with_level(self):
         frame = sales_frame()
-        ens = bootstrap_train(frame, replicas=6, min_fraction=0.7, seed=13,
-                              config=TINY, epochs=3)
+        ens = bootstrap_train(frame, BootstrapConfig(replicas=6, min_fraction=0.7, epochs=3),
+                              TINY, seed=13)
         history, terms = self.make_inputs(frame)
         widths = []
         for level in (0.90, 0.95, 0.99):
@@ -150,8 +154,8 @@ class TestPredictInterval:
         frame = sales_frame()
         results = []
         for _ in range(2):
-            ens = bootstrap_train(frame, replicas=3, min_fraction=0.7, seed=17,
-                                  config=TINY, epochs=3)
+            ens = bootstrap_train(frame, BootstrapConfig(replicas=3, min_fraction=0.7, epochs=3),
+                                  TINY, seed=17)
             history, terms = self.make_inputs(frame)
             interval = predict_interval(ens, history, terms)
             results.append((interval.mean, interval.std, interval.lower, interval.upper))
