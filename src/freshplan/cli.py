@@ -18,7 +18,6 @@ import collections
 import contextlib
 import csv
 import datetime as dt
-import functools
 import itertools
 import logging
 import os
@@ -37,11 +36,8 @@ from .solarterms import TermBoundaryTable
 
 log = logging.getLogger("freshplan")
 
-FORECAST_HEADER = ["product_id", "date", "predicted_cost"]
-INTERVALS_HEADER = ["product_id", "level", "mean", "std", "lower", "upper"]
 INTERVALS_DAILY_HEADER = ["product_id", "level", "day_offset", "mean", "std", "lower", "upper"]
 DEMAND_HEADER = ["product_id", "intercept", "slope", "r_squared", "anomalous_slope"]
-RANKING_HEADER = ["rank", "product_id", "score", "d_plus", "d_minus"]
 PLAN_HEADER = ["product_id", "price", "allocation", "expected_sales", "expected_profit"]
 GA_TRACE_HEADER = ["generation", "max", "min", "avg"]
 
@@ -167,7 +163,7 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
             curve_rows.append([pid, str(epoch), _fmt(loss)])
 
     forecast_path = out_dir / config.paths.forecast
-    _write_csv(forecast_path, FORECAST_HEADER, rows)
+    _write_csv(forecast_path, pipeline.FORECAST.header, rows)
     curves_path = out_dir / "loss_curves.csv"
     _write_csv(curves_path, ["product_id", "epoch", "loss"], curve_rows)
     manifest.end_stage("forecast", started, [str(forecast_path), str(curves_path)],
@@ -205,7 +201,7 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
             daily_rows.append([pid, _fmt(level), str(day), *map(_fmt, day_fit)])
 
     intervals_path = out_dir / config.paths.intervals
-    _write_csv(intervals_path, INTERVALS_HEADER, rows)
+    _write_csv(intervals_path, pipeline.INTERVALS.header, rows)
     daily_path = out_dir / config.paths.intervals_daily
     _write_csv(daily_path, INTERVALS_DAILY_HEADER, daily_rows)
     manifest.end_stage("intervals", started, [str(intervals_path), str(daily_path)],
@@ -242,14 +238,11 @@ def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     matrix = _build_criteria(qty_frames, price_frames, cost_frames)
     weights, result = mcdm.rank_products(matrix)
 
-    score_by_id = dict(zip(result.product_ids, result.scores))
-    d_plus_by_id = dict(zip(result.product_ids, result.d_plus))
-    d_minus_by_id = dict(zip(result.product_ids, result.d_minus))
-    rows = [[str(rank), pid, _fmt(score_by_id[pid]), _fmt(d_plus_by_id[pid]),
-             _fmt(d_minus_by_id[pid])]
+    scores_by_id = dict(zip(result.product_ids, zip(result.scores, result.d_plus, result.d_minus)))
+    rows = [[str(rank), pid, *map(_fmt, scores_by_id[pid])]
             for rank, pid in enumerate(result.ranking, start=1)]
     ranking_path = out_dir / config.paths.ranking
-    _write_csv(ranking_path, RANKING_HEADER, rows)
+    _write_csv(ranking_path, pipeline.RANKING.header, rows)
 
     k = min(config.topsis.top_k, len(result.ranking))
     manifest.end_stage("rank", started, [str(ranking_path)],
@@ -262,36 +255,23 @@ def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
 def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
                  baseline: str | None = None) -> None:
     started = manifest.start_stage("optimize")
-    forecast_path, intervals_path = out_dir / config.paths.forecast, out_dir / config.paths.intervals
-    ranking_path = out_dir / config.paths.ranking
-    ranking_rows = pipeline.read_rows(ranking_path, RANKING_HEADER)
-    forecast_rows = pipeline.read_rows(forecast_path, FORECAST_HEADER)
-    interval_rows = pipeline.read_rows(intervals_path, INTERVALS_HEADER)
+    intervals_path = out_dir / config.paths.intervals
+    ranking = pipeline.read_csv(out_dir / config.paths.ranking, pipeline.RANKING)  # in rank order
+    forecasts = pipeline.read_csv(out_dir / config.paths.forecast, pipeline.FORECAST)
+    interval_rows = pipeline.read_csv(intervals_path, pipeline.INTERVALS)
     qty_frames, price_frames = pipeline.load_sales(str(out_dir / config.paths.sales))
 
     unit_costs: dict[str, list[float]] = {}
-    forecast_lines: dict[tuple[str, dt.date], int] = {}
-    for line, row in forecast_rows:  # a negative cost is skipped below, not rejected
-        pid, day = row["product_id"], pipeline.read_date(forecast_path, line, row)
-        pipeline.check_first(forecast_lines, (pid, day), forecast_path, line, f"{pid} on {day}")
-        unit_costs.setdefault(pid, []).append(
-            pipeline.read_number(forecast_path, line, row, "predicted_cost"))
+    for _, (pid, _, cost) in forecasts:  # a negative cost is skipped below, not rejected
+        unit_costs.setdefault(pid, []).append(cost)
     intervals_by_id: dict[str, intervals_mod.SalesInterval] = {}
-    interval_lines: dict[str, int] = {}
-    for line, row in interval_rows:
-        pid = row["product_id"]
-        pipeline.check_first(interval_lines, pid, intervals_path, line, pid)
-        number = functools.partial(pipeline.read_number, intervals_path, line, row)
-        lower = number("lower", 0.0)
+    for line, (pid, level, mean, std, lower, upper) in interval_rows:
+        if not upper >= lower:
+            raise InputError(f"{intervals_path}:{line}: upper must be a finite number >= {lower:g}, "
+                             f"got {upper!r}")
         intervals_by_id[pid] = intervals_mod.SalesInterval(
-            product_id=pid, mean=number("mean"), std=number("std"),
-            lower=lower, upper=number("upper", lower), level=number("level"))
-
-    ranking_lines: dict[str, int] = {}  # in rank order
-    for line, row in ranking_rows:
-        pid = row["product_id"]
-        pipeline.check_first(ranking_lines, pid, ranking_path, line, pid)
-    selected = list(ranking_lines)[:config.topsis.top_k]
+            product_id=pid, mean=mean, std=std, lower=lower, upper=upper, level=level)
+    selected = [pid for _, (_, pid, *_) in ranking[:config.topsis.top_k]]
 
     contexts, demand_rows, skipped = [], [], []
 
@@ -360,18 +340,12 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
 
 def cmd_evaluate(pred_path: Path, truth_path: Path) -> forecaster.MetricsReport:
     """Join predictions with realized costs on (product_id, date) and score them."""
-    pred_rows = pipeline.read_rows(pred_path, FORECAST_HEADER)
+    predictions = pipeline.read_csv(pred_path, pipeline.FORECAST)
     truth = pipeline.load_costs(str(truth_path))
     y, y_hat = [], []
-    pred_lines: dict[tuple[str, dt.date], int] = {}
-    for line, row in pred_rows:
-        predicted = pipeline.read_number(pred_path, line, row, "predicted_cost")
-        pid, day = row["product_id"], pipeline.read_date(pred_path, line, row)
-        pipeline.check_first(pred_lines, (pid, day), pred_path, line, f"{pid} on {day}")
-        if pid not in truth:
-            continue
-        frame = truth[pid]
-        if frame.dates[0] <= day <= frame.dates[-1]:
+    for _, (pid, day, predicted) in predictions:
+        frame = truth.get(pid)
+        if frame is not None and frame.dates[0] <= day <= frame.dates[-1]:
             y.append(frame.values[(day - frame.dates[0]).days])
             y_hat.append(predicted)
     if not y:

@@ -1,5 +1,9 @@
 """Data ingestion, min-max scaling, sliding-window samples, synthetic corpus.
 
+Every input CSV has a `Schema` (exact header, column kinds and bounds, key
+columns).  `read_csv`, the one reader of all seven inputs, parses a file by its
+schema and rejects a bad one with an InputError naming the file and line.
+
 Forecasting windows pair 15 days of scaled history with the solar-term bit
 matrix of the following 7 days and those days' scaled values as the target;
 the window slides one day at a time.  `make_windows` returns them as one
@@ -23,10 +27,6 @@ from .solarterms import TERM_CODES, TERM_NAMES, TermBoundaryTable
 
 INPUT_DAYS = 15
 HORIZON_DAYS = 7
-
-COSTS_HEADER = ["date", "product_id", "wholesale_cost"]
-SALES_HEADER = ["date", "product_id", "quantity_kg", "unit_price"]
-BOUNDARIES_HEADER = ["term_index", "month", "day"]
 
 
 @dataclass
@@ -127,73 +127,127 @@ def make_windows(
 
 # -- CSV ingestion -----------------------------------------------------------
 
+MAX_MAGNITUDE = 1e12
+"""No number in an input CSV may exceed this in magnitude.  With every input at
+most this, a top-32 plan's profit stays far below float overflow."""
 
-def read_rows(path, header: list[str]) -> list[tuple[int, dict[str, str]]]:
-    """Each row of a CSV file with the file line it ends on; the header must
-    equal `header` exactly."""
+DATE, TEXT, INTEGER, RANK = "ISO date", "text", "integer", "rank"
+NUMBER, NONNEGATIVE = -math.inf, 0.0
+
+
+@dataclass(frozen=True)
+class Schema:
+    """The rule for one input CSV: its exact header; each column's kind in header
+    order, which is DATE (ISO YYYY-MM-DD), TEXT, INTEGER, RANK (the integers 1..n
+    in file order) or a float lower bound (a finite number >= it; NUMBER for
+    none); the `key` columns, whose values must be unique together; and the
+    `label` of a duplicate, formatted with the row's values by column name."""
+
+    header: tuple[str, ...]
+    kinds: tuple
+    key: tuple[str, ...]
+    label: str
+
+
+COSTS = Schema(("date", "product_id", "wholesale_cost"), (DATE, TEXT, NONNEGATIVE),
+               ("date", "product_id"), "{product_id} on {date}")
+SALES = Schema(("date", "product_id", "quantity_kg", "unit_price"),
+               (DATE, TEXT, NONNEGATIVE, NONNEGATIVE), ("date", "product_id"), "{product_id} on {date}")
+BOUNDARIES = Schema(("term_index", "month", "day"), (INTEGER,) * 3, ("term_index",),
+                    "term_index {term_index}")
+FORECAST = Schema(("product_id", "date", "predicted_cost"), (TEXT, DATE, NUMBER),
+                  ("product_id", "date"), "{product_id} on {date}")
+INTERVALS = Schema(("product_id", "level", "mean", "std", "lower", "upper"),
+                   (TEXT, NUMBER, NUMBER, NUMBER, NONNEGATIVE, NONNEGATIVE), ("product_id",), "{product_id}")
+RANKING = Schema(("rank", "product_id", "score", "d_plus", "d_minus"),
+                 (RANK, TEXT, NUMBER, NUMBER, NUMBER), ("product_id",), "{product_id}")
+# Every input by its default file name; predictions for `evaluate` follow FORECAST.
+SCHEMAS = {"costs.csv": COSTS, "sales.csv": SALES, "boundaries.csv": BOUNDARIES,
+           "forecast.csv": FORECAST, "intervals.csv": INTERVALS, "ranking.csv": RANKING}
+
+
+def _column_parser(column: str, kind):
+    """The function from a field of `column` to its value; it raises a
+    ValueError whose message starts with the column's name."""
+    if kind == TEXT:
+        return str
+    if kind == DATE:
+        def parse_date(raw: str) -> dt.date:
+            try:
+                return dt.date.fromisoformat(raw)
+            except ValueError:
+                raise ValueError(f"{column} must be an ISO date (YYYY-MM-DD), got {raw!r}") from None
+        return parse_date
+    convert = int if kind in (INTEGER, RANK) else float
+    low = -math.inf if convert is int else kind
+    floor = max(low, -MAX_MAGNITUDE)
+    what = ("an integer" if convert is int
+            else "a finite number" + ("" if kind == NUMBER else f" >= {kind:g}"))
+
+    def parse_number(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            value = math.nan
+        if floor <= value <= MAX_MAGNITUDE:
+            return value
+        limit = f"at most {MAX_MAGNITUDE:g} in magnitude" if low <= value < math.inf else what
+        raise ValueError(f"{column} must be {limit}, got {raw!r}")
+    return parse_number
+
+
+def read_csv(path, schema: Schema) -> list[tuple[int, tuple]]:
+    """The rows of the input CSV at `path`, parsed by `schema`, each with the
+    file line it ends on.
+
+    A file that cannot be read, a header other than `schema.header` or no data
+    rows is an InputError naming the file; a row with the wrong number of
+    fields, a field not of its column's kind or a second row with the same key
+    is one naming the file and line.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != header:
-                raise InputError(f"{path}: expected header {','.join(header)}, got {reader.fieldnames}")
-            return [(reader.line_num, row) for row in reader]
-    except OSError as exc:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != list(schema.header):
+                raise InputError(f"{path}: expected header {','.join(schema.header)}, got {header}")
+            rows = [(reader.line_num, fields) for fields in reader if fields]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def read_number(path, line: int, row: dict[str, str], column: str,
-                minimum: float = -math.inf) -> float:
-    """`row[column]` of a `read_rows` row as a finite float >= `minimum`;
-    anything else is an InputError naming the file and line."""
-    try:
-        value = float(row[column])
-    except (TypeError, ValueError):
-        value = math.nan
-    if not (math.isfinite(value) and value >= minimum):
-        bound = "" if minimum == -math.inf else f" >= {minimum:g}"
-        raise InputError(f"{path}:{line}: {column} must be a finite number{bound}, got {row[column]!r}")
-    return value
-
-
-def read_integer(path, line: int, row: dict[str, str], column: str) -> int:
-    """`row[column]` of a `read_rows` row as an int, or an InputError naming
-    the file and line."""
-    try:
-        return int(row[column])
-    except (TypeError, ValueError):
-        raise InputError(f"{path}:{line}: {column} must be an integer, got {row[column]!r}") from None
-
-
-def read_date(path, line: int, row: dict[str, str]) -> dt.date:
-    """The `date` field of a `read_rows` row as an ISO date, or an InputError
-    naming the file and line."""
-    try:
-        return dt.date.fromisoformat(row["date"])
-    except (TypeError, ValueError):
-        raise InputError(f"{path}:{line}: date must be an ISO date (YYYY-MM-DD), "
-                         f"got {row['date']!r}") from None
-
-
-def check_first(first_line: dict, key, path, line: int, label: str) -> None:
-    """Record `key` as first seen at `line` of `path`; a second row with the
-    same key is an InputError naming both lines."""
-    if key in first_line:
-        raise InputError(f"{path}:{line}: duplicate row for {label} "
-                         f"(first at line {first_line[key]})")
-    first_line[key] = line
+    if not rows:
+        raise InputError(f"{path}: no rows")
+    parsers = [_column_parser(column, kind) for column, kind in zip(schema.header, schema.kinds)]
+    key_at = [schema.header.index(column) for column in schema.key]
+    rank_at = schema.kinds.index(RANK) if RANK in schema.kinds else None
+    first_line, parsed = {}, []
+    for line, fields in rows:
+        if len(fields) != len(parsers):
+            raise InputError(f"{path}:{line}: expected {len(parsers)} fields, got {len(fields)}")
+        try:
+            values = tuple([parse(raw) for parse, raw in zip(parsers, fields)])
+        except ValueError as exc:
+            raise InputError(f"{path}:{line}: {exc}") from None
+        key = tuple([values[i] for i in key_at])
+        if key in first_line:
+            label = schema.label.format(**dict(zip(schema.header, values)))
+            raise InputError(f"{path}:{line}: duplicate row for {label} "
+                             f"(first at line {first_line[key]})")
+        first_line[key] = line
+        if rank_at is not None and values[rank_at] != len(parsed) + 1:
+            raise InputError(f"{path}:{line}: {schema.header[rank_at]} must be {len(parsed) + 1} "
+                             f"(ranks count 1..n in file order), got {fields[rank_at]!r}")
+        parsed.append((line, values))
+    return parsed
 
 
 def load_boundaries(path) -> TermBoundaryTable:
     """Read a solar-term boundary override: header term_index,month,day and
     exactly one row per term index 0..23."""
     entries: dict[int, tuple[int, int]] = {}
-    first_line: dict[int, int] = {}
-    for line, row in read_rows(path, BOUNDARIES_HEADER):
-        idx = read_integer(path, line, row, "term_index")
+    for line, (idx, month, day) in read_csv(path, BOUNDARIES):
         if not 0 <= idx < len(TERM_NAMES):
             raise InputError(f"{path}:{line}: term_index {idx} out of range 0..{len(TERM_NAMES) - 1}")
-        check_first(first_line, idx, path, line, f"term_index {idx}")
-        entries[idx] = (read_integer(path, line, row, "month"), read_integer(path, line, row, "day"))
+        entries[idx] = (month, day)
     if len(entries) != len(TERM_NAMES):
         raise InputError(f"{path}: need exactly one row per term_index 0..{len(TERM_NAMES) - 1}")
     try:
@@ -202,81 +256,51 @@ def load_boundaries(path) -> TermBoundaryTable:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _read_series(path: str, header: list[str]) -> dict[str, dict[str, list[tuple[dt.date, float]]]]:
-    """(date, value) pairs per value column and product of a `date,product_id,...` file.
-
-    Every value must be a finite number >= 0 and each (date, product_id) may
-    appear only once; anything else is an InputError naming the file and line.
-    """
-    columns = header[2:]
-    records: dict[str, dict[str, list[tuple[dt.date, float]]]] = {col: {} for col in columns}
-    first_line: dict[tuple[dt.date, str], int] = {}
-    for line, row in read_rows(path, header):
-        where, pid = f"{path}:{line}", row["product_id"]
-        day = read_date(path, line, row)
-        try:
-            values = [float(row[col]) for col in columns]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: malformed row: {exc}") from exc
-        check_first(first_line, (day, pid), path, line, f"{pid} on {day}")
-        for col, value in zip(columns, values):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InputError(f"{where}: {col} must be a finite number >= 0, got {row[col]!r}")
-            records[col].setdefault(pid, []).append((day, value))
-    return records
-
-
-def _frames_from_records(records: dict[str, list[tuple[dt.date, float]]]) -> dict[str, SeriesFrame]:
-    """Assemble per-product frames, forward-filling interior gaps."""
-    frames = {}
-    for pid, pairs in records.items():
-        pairs.sort(key=lambda p: p[0])
-        dates, values = [], []
-        last_value = None
-        cursor = pairs[0][0]
-        by_date = dict(pairs)
-        end = pairs[-1][0]
-        while cursor <= end:
-            if cursor in by_date:
-                last_value = by_date[cursor]
-            elif last_value is None:
-                raise InputError(f"{pid}: leading gap at {cursor}")
-            dates.append(cursor)
-            values.append(last_value)
-            cursor += dt.timedelta(days=1)
-        frames[pid] = SeriesFrame(pid, dates, np.array(values))
+def _load_series(path: str, schema: Schema) -> list[dict[str, SeriesFrame]]:
+    """Per-product frames of each value column of a `date,product_id,...` file,
+    forward-filling interior gaps."""
+    rows_by_pid: dict[str, list[tuple]] = {}
+    for _, row in read_csv(path, schema):
+        rows_by_pid.setdefault(row[1], []).append(row)
+    frames: list[dict[str, SeriesFrame]] = [{} for _ in schema.header[2:]]
+    for pid, rows in rows_by_pid.items():
+        rows.sort(key=lambda row: row[0])
+        # A row's values hold from its date up to the next row's date.
+        spans = [(later[0] - row[0]).days for row, later in zip(rows, rows[1:])] + [1]
+        dates = [rows[0][0] + dt.timedelta(days=i) for i in range(sum(spans))]
+        for col, column_frames in enumerate(frames, start=2):
+            column_frames[pid] = SeriesFrame(pid, dates, np.repeat([row[col] for row in rows], spans))
     return frames
 
 
 def load_costs(path: str) -> dict[str, SeriesFrame]:
     """Read costs.csv into per-product frames keyed by product id."""
-    return _frames_from_records(_read_series(path, COSTS_HEADER)["wholesale_cost"])
+    return _load_series(path, COSTS)[0]
 
 
 def load_sales(path: str) -> tuple[dict[str, SeriesFrame], dict[str, SeriesFrame]]:
     """Read sales.csv into (quantity frames, unit-price frames)."""
-    records = _read_series(path, SALES_HEADER)
-    return _frames_from_records(records["quantity_kg"]), _frames_from_records(records["unit_price"])
+    return tuple(_load_series(path, SALES))
+
+
+def _write_series(path: str, schema: Schema, *columns: dict[str, SeriesFrame]) -> None:
+    """Write per-product frames as the value columns of a `date,product_id,...` file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(schema.header)
+        for pid in sorted(columns[0]):
+            frames = [column[pid] for column in columns]
+            days = [day.isoformat() for day in frames[0].dates]
+            writer.writerows(zip(days, [pid] * len(days), *(
+                [f"{value:.6f}" for value in frame.values.tolist()] for frame in frames)))
 
 
 def write_costs(path: str, frames: dict[str, SeriesFrame]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COSTS_HEADER)
-        for pid in sorted(frames):
-            frame = frames[pid]
-            for day, value in zip(frame.dates, frame.values):
-                writer.writerow([day.isoformat(), pid, f"{value:.6f}"])
+    _write_series(path, COSTS, frames)
 
 
 def write_sales(path: str, qty: dict[str, SeriesFrame], price: dict[str, SeriesFrame]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SALES_HEADER)
-        for pid in sorted(qty):
-            q, p = qty[pid], price[pid]
-            for day, quantity, unit_price in zip(q.dates, q.values, p.values):
-                writer.writerow([day.isoformat(), pid, f"{quantity:.6f}", f"{unit_price:.6f}"])
+    _write_series(path, SALES, qty, price)
 
 
 # -- synthetic corpus --------------------------------------------------------

@@ -18,7 +18,7 @@ from freshplan import cli, forecaster, intervals, pipeline
 from freshplan.config import RunConfig, RunManifest, derive_seed, load_config
 from freshplan.errors import InputError, InvariantError
 from freshplan.forecaster import ModelConfig
-from freshplan.solarterms import encode_date_range
+from freshplan.solarterms import DEFAULT_BOUNDARIES, encode_date_range
 
 
 def tiny_config(**extra) -> RunConfig:
@@ -190,7 +190,7 @@ class TestOptimizeSkips:
         first = next(r for r in rows if r["product_id"] == top)
         first["predicted_cost"] = "-1000000.0"  # one row drags the weekly mean below zero
         with open(out / "forecast.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=cli.FORECAST_HEADER, lineterminator="\n")
+            writer = csv.DictWriter(fh, fieldnames=pipeline.FORECAST.header, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         manifest = RunManifest(cfg, out)
@@ -367,7 +367,7 @@ class TestBadInputRows:
         (tmp_path / "costs.csv").write_text(
             "date,product_id,wholesale_cost\n" + "\n".join([*COSTS_OK, "2023-01-03,A,cheap"]) + "\n")
         assert exit_code(monkeypatch, ["--out", str(tmp_path), "forecast"]) == 1
-        assert "costs.csv:5: malformed row" in caplog.text
+        assert "costs.csv:5: wholesale_cost must be a finite number >= 0, got 'cheap'" in caplog.text
 
     @pytest.mark.parametrize("artifact,column,value,message", [
         ("forecast.csv", "predicted_cost", "abc", "predicted_cost must be a finite number, got 'abc'"),
@@ -445,6 +445,113 @@ A12_FLAGS = [f for key in ("synth.products=10", "synth.days=130", "tcn.channels=
              for f in ("--set", key)]
 RUN_ALL_CSVS = ("forecast.csv", "loss_curves.csv", "intervals.csv", "intervals_daily.csv",
                 "ranking.csv", "demand.csv", "plan.csv", "ga_trace.csv")
+
+
+def stage_argv(source: str, out: Path) -> list[str]:
+    """The command line of a stage that reads the input `source` from `out`."""
+    return {"costs": ["--out", str(out), "forecast"],
+            "sales": ["--out", str(out), "intervals"],
+            "boundaries": ["--out", str(out), "--set", f"paths.boundaries={out / 'boundaries.csv'}",
+                           "synth"],
+            "forecast": ["--out", str(out), "optimize"],
+            "intervals": ["--out", str(out), "optimize"],
+            "ranking": ["--out", str(out), "optimize"],
+            "predictions": ["evaluate", "--pred", str(out / "forecast.csv"),
+                            "--truth", str(out / "costs.csv")]}[source]
+
+
+def corruptions(schema: pipeline.Schema) -> list[tuple[str, str | None]]:
+    """(corruption, column) pairs that apply to an input of `schema`."""
+    cases: list[tuple[str, str | None]] = [("duplicate key", None), ("wrong header", None),
+                                           ("header only", None)]
+    for column, kind in zip(schema.header, schema.kinds):
+        if kind == pipeline.DATE:
+            cases.append(("2023-13-01", column))
+        elif kind != pipeline.TEXT:
+            cases += [(value, column) for value in ("nan", "inf", "1e308")]
+            if kind == pipeline.NONNEGATIVE:
+                cases.append(("-1.5", column))
+    return cases
+
+
+SCHEMA_CASES = [
+    pytest.param(source, name, corruption, column, id=f"{source}-{corruption}-{column or 'file'}")
+    for source, name, schema in [*((name.removesuffix(".csv"), name, schema)
+                                   for name, schema in pipeline.SCHEMAS.items()),
+                                 ("predictions", "forecast.csv", pipeline.FORECAST)]
+    for corruption, column in corruptions(schema)]
+
+
+class TestInputSchemas:
+    """Every input goes through `pipeline.read_csv`: a bad file is exit 1 with a
+    `<file>:<line>` message (`<file>:` for its header or an empty body)."""
+
+    @pytest.mark.parametrize("source,name,corruption,column", SCHEMA_CASES)
+    def test_corrupt_input_rejected(self, full_run, tmp_path, monkeypatch, capsys, caplog,
+                                    source, name, corruption, column):
+        out = tmp_path / "run"
+        shutil.copytree(full_run[1], out)
+        boundaries = [f"{i},{m},{d}" for i, (m, d) in enumerate(DEFAULT_BOUNDARIES)]
+        (out / "boundaries.csv").write_text("term_index,month,day\n" + "\n".join(boundaries) + "\n")
+        header, *rows = (out / name).read_text().splitlines()
+        if corruption == "duplicate key":
+            rows.append(rows[0])
+            where = f"{name}:{len(rows) + 1}: duplicate row for"
+        elif corruption == "wrong header":
+            header = header.rsplit(",", 1)[0] + ",x"
+            where = f"{name}: expected header"
+        elif corruption == "header only":
+            rows = []
+            where = f"{name}: no rows"
+        else:
+            at = header.split(",").index(column)
+            fields = rows[1].split(",")
+            fields[at] = corruption
+            rows[1] = ",".join(fields)
+            where = f"{name}:3: {column} must be"
+        (out / name).write_text("\n".join([header, *rows]) + "\n")
+        assert exit_code(monkeypatch, stage_argv(source, out)) == 1
+        assert where in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,message", [
+        ("score", "ranking.csv:3: score must be a finite number, got 'abc'"),
+        ("reorder", "ranking.csv:2: rank must be 1 (ranks count 1..n in file order), got '2'"),
+        ("gap", "ranking.csv:3: rank must be 2 (ranks count 1..n in file order), got '3'"),
+    ], ids=["score", "reorder", "gap"])
+    def test_ranking_checked_not_trusted(self, full_run, tmp_path, monkeypatch, caplog,
+                                         change, message):
+        out = tmp_path / "run"
+        shutil.copytree(full_run[1], out)
+        rows = read_table(out / "ranking.csv")
+        if change == "score":
+            rows[1]["score"] = "abc"
+        elif change == "reorder":
+            rows[0], rows[1] = rows[1], rows[0]
+        else:
+            del rows[1]
+        with open(out / "ranking.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert exit_code(monkeypatch, ["--out", str(out), "optimize"]) == 1
+        assert message in caplog.text
+
+    def test_interval_bound_beyond_magnitude_rejected(self, tmp_path, monkeypatch, caplog):
+        # At 1e308 the GA's fitness overflowed to -inf in every ga_trace.csv row.
+        for stage in ("synth", "forecast", "intervals", "rank"):
+            assert cli.run([*A12_FLAGS, "--out", str(tmp_path), stage]) == 0
+        rows = read_table(tmp_path / "intervals.csv")
+        line = 2 + next(i for i, row in enumerate(rows) if row["product_id"] == "P0")
+        rows[line - 2]["upper"] = "1e308"
+        with open(tmp_path / "intervals.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert exit_code(monkeypatch, [*A12_FLAGS, "--out", str(tmp_path), "optimize"]) == 1
+        assert (f"intervals.csv:{line}: upper must be at most 1e+12 in magnitude, got '1e308'"
+                in caplog.text)
+        assert not (tmp_path / "ga_trace.csv").exists()
 
 
 def use_cpus(monkeypatch, n: int) -> None:

@@ -222,3 +222,20 @@ def test_series_frame_rejects_gapped_dates():
     dates = [dt.date(2023, 1, 1), dt.date(2023, 1, 3)]
     with pytest.raises(InputError):
         SeriesFrame("P", dates, np.array([1.0, 2.0]))
+
+
+def test_readme_file_formats_match_schemas():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## File formats", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        name, header, key, values = [cell.strip() for cell in row.strip("|").split("|")][:4]
+        if key:  # the inputs; the other rows are outputs that no stage reads
+            documented[name] = (header.strip("`"), key.strip("`"), values)
+    assert {name: (h, k) for name, (h, k, _) in documented.items()} == {
+        name: (",".join(schema.header), ",".join(schema.key))
+        for name, schema in pipeline.SCHEMAS.items()}
+    for name, schema in pipeline.SCHEMAS.items():  # each bounded or ranked column is named
+        bounded = [column for column, kind in zip(schema.header, schema.kinds)
+                   if kind in (pipeline.NONNEGATIVE, pipeline.RANK)]
+        assert all(column in documented[name][2] for column in bounded), name
