@@ -14,7 +14,7 @@ import numpy as np
 
 from freshplan import gaopt
 from freshplan.demand import DemandCurve
-from freshplan.gaopt import GaConfig, ProductContext
+from freshplan.gaopt import GaConfig, PlanProblem, ProductContext
 from freshplan.intervals import SalesInterval
 
 
@@ -25,9 +25,9 @@ def main() -> None:
     # weekly demand 10 - p at unit cost 2: optimum price 6, allocation 4, profit 16
     curve = DemandCurve("demo", 10.0 / 7.0, -1.0 / 7.0, 1.0, 10, 10.0 / 7.0)
     interval = SalesInterval("demo", 5.0, 2.0, 0.0, 100.0, 0.95)
-    context = [ProductContext("demo", 2.0, curve, interval)]
+    problem = PlanProblem([ProductContext("demo", 2.0, curve, interval)])
 
-    result = gaopt.evolve(context, GaConfig(pop=100, gens=200), seed=seed)
+    result = gaopt.evolve(problem, GaConfig(pop=100, gens=200), seed=seed)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["generation", "max", "min", "avg"])

@@ -134,6 +134,9 @@ def _usable_frames(frames: dict[str, pipeline.SeriesFrame], need: int,
             log.warning("%s: skipping %s (%d days < %d)", stage, pid, len(frames[pid]), need)
         else:
             usable.append(frames[pid])
+    if not usable:
+        raise InputError(f"{stage}: no product has the {need} days a window needs "
+                         f"({len(frames)} skipped)")
     return usable, len(frames) - len(usable)
 
 
@@ -302,17 +305,18 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
         ))
     if not contexts:
         raise InputError("optimize: no usable products after joining artifacts")
+    problem = gaopt.PlanProblem(contexts)
 
     demand_path = out_dir / config.paths.demand
     _write_csv(demand_path, DEMAND_HEADER, demand_rows)
 
     evolve_started = time.perf_counter()
-    result = gaopt.evolve(contexts, config.ga, seed=derive_seed(config.seed, "optimize"))
+    result = gaopt.evolve(problem, config.ga, seed=derive_seed(config.seed, "optimize"))
     evolve_s = time.perf_counter() - evolve_started
 
     plan_rows = [[r["product_id"], _fmt(r["price"]), _fmt(r["allocation"]),
                   _fmt(r["expected_sales"]), _fmt(r["expected_profit"])]
-                 for r in gaopt.decode_plan(result.best, contexts)]
+                 for r in gaopt.decode_plan(result.best, problem)]
     plan_path = out_dir / config.paths.plan
     _write_csv(plan_path, PLAN_HEADER, plan_rows)
 
@@ -328,7 +332,7 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
              "products": len(contexts), "skipped": skipped}
     if baseline == "random":
         _, random_best = gaopt.random_search(
-            contexts, result.evaluations, seed=derive_seed(config.seed, "optimize", "baseline"))
+            problem, result.evaluations, seed=derive_seed(config.seed, "optimize", "baseline"))
         extra["random_search_profit"] = round(random_best, 6)
         log.info("optimize: GA profit %.3f vs random-search %.3f",
                  result.best_fitness, random_best)

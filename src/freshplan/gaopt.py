@@ -1,5 +1,7 @@
 """Genetic search over joint (price, allocation) decisions for selected products.
 
+A `PlanProblem` holds the per-product arrays and gene boxes, built once from
+the `ProductContext` records; every step of the search reads it.
 A chromosome interleaves one price and one allocation per product; a population
 is a [P, 2N] array of them, prices in the even columns.  Repair projects prices
 onto the band where the weekly demand implied by the fitted curve stays inside
@@ -51,93 +53,86 @@ class ProductContext:
                              f"0 <= lower <= upper, got [{lower}, {upper}]")
 
 
-def weekly_demand(contexts: list[ProductContext], prices: np.ndarray) -> np.ndarray:
+class PlanProblem:
+    """The plan's per-product arrays, built once from the contexts.
+
+    [N] intercept, slope, mean volume, interval bounds and unit cost, and the
+    [2N] gene boxes `low`/`high` (price/alloc interleaved) used for
+    initialization, repair and mutation scale.  For a downward-sloping curve
+    the price band is the preimage of the sales interval under the weekly
+    demand line (empty preimages collapse toward the closest achievable
+    price); otherwise price is bounded by a markup cap.  Allocation is bounded
+    by the sales interval.  Every `low` is at least EPSILON.
+    """
+
+    def __init__(self, contexts: list[ProductContext]):
+        if not contexts:
+            raise InputError("no product contexts")
+        self.product_ids = [ctx.product_id for ctx in contexts]
+        columns = np.array([(ctx.demand.intercept, ctx.demand.slope, ctx.demand.mean_volume,
+                             ctx.interval.lower, ctx.interval.upper, ctx.unit_cost)
+                            for ctx in contexts]).T
+        (self.intercept, self.slope, self.mean_volume,
+         self.lower, self.upper, self.unit_cost) = columns
+        sloped = self.slope < 0.0
+        divisor = np.where(sloped, self.slope, -1.0)  # finite quotients where np.where drops them
+        p_at_upper = (self.upper / WEEK_DAYS - self.intercept) / divisor
+        p_at_lower = (self.lower / WEEK_DAYS - self.intercept) / divisor
+        p_lo = np.where(sloped, np.maximum(EPSILON, p_at_upper), EPSILON)
+        p_hi = np.where(sloped, np.maximum(p_lo, p_at_lower),
+                        np.maximum(PRICE_CAP_MARKUP * self.unit_cost, 2.0 * EPSILON))
+        a_hi = np.maximum(self.upper, EPSILON)
+        a_lo = np.minimum(np.maximum(self.lower, EPSILON), a_hi)
+        self.low = np.column_stack([p_lo, a_lo]).ravel()
+        self.high = np.column_stack([p_hi, a_hi]).ravel()
+        self.width = self.high - self.low
+
+
+def weekly_demand(problem: PlanProblem, prices: np.ndarray) -> np.ndarray:
     """Weekly sales volume each of the [..., N] prices induces.
 
     Downward-sloping curves scale the daily fit to a week; flat or anomalous
     (non-negative slope) curves are treated as price-insensitive at the fitted
     mean volume, clamped into the sales interval.
     """
-    intercept, slope, mean_volume, lower, upper = np.array(
-        [(ctx.demand.intercept, ctx.demand.slope, ctx.demand.mean_volume,
-          ctx.interval.lower, ctx.interval.upper) for ctx in contexts]).T
-    line = WEEK_DAYS * np.maximum(0.0, intercept + slope * prices)
-    pinned = np.clip(WEEK_DAYS * np.maximum(0.0, mean_volume), lower, upper)
-    return np.where(slope < 0.0, line, pinned)
+    line = WEEK_DAYS * np.maximum(0.0, problem.intercept + problem.slope * prices)
+    pinned = np.clip(WEEK_DAYS * np.maximum(0.0, problem.mean_volume), problem.lower, problem.upper)
+    return np.where(problem.slope < 0.0, line, pinned)
 
 
-def _sold_and_profit(genes: np.ndarray, contexts: list[ProductContext]) -> tuple[np.ndarray, np.ndarray]:
+def _sold_and_profit(genes: np.ndarray, problem: PlanProblem) -> tuple[np.ndarray, np.ndarray]:
     """[..., N] expected sales and profit, price * min(alloc, demand) - cost * alloc."""
     price, alloc = genes[..., 0::2], genes[..., 1::2]
-    sold = np.minimum(alloc, weekly_demand(contexts, price))
-    return sold, price * sold - np.array([ctx.unit_cost for ctx in contexts]) * alloc
+    sold = np.minimum(alloc, weekly_demand(problem, price))
+    return sold, price * sold - problem.unit_cost * alloc
 
 
-@dataclass
-class GeneBoxes:
-    """Per-gene feasible intervals: [2N] lows and highs, price/alloc interleaved."""
-
-    low: np.ndarray
-    high: np.ndarray
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.high - self.low
-
-
-def gene_boxes(contexts: list[ProductContext]) -> GeneBoxes:
-    """Feasible boxes used for initialization, repair, and mutation scale.
-
-    For a downward-sloping curve the price band is the preimage of the sales
-    interval under the weekly demand line (empty preimages collapse toward the
-    closest achievable price); otherwise price is bounded by a markup cap.
-    Allocation is bounded by the sales interval.
-    """
-    lows, highs = [], []
-    for ctx in contexts:
-        curve, interval = ctx.demand, ctx.interval
-        if curve.slope < 0.0:
-            p_at_upper = (interval.upper / WEEK_DAYS - curve.intercept) / curve.slope
-            p_at_lower = (interval.lower / WEEK_DAYS - curve.intercept) / curve.slope
-            p_lo = max(EPSILON, p_at_upper)
-            p_hi = max(p_lo, p_at_lower)
-        else:
-            p_lo = EPSILON
-            p_hi = max(PRICE_CAP_MARKUP * ctx.unit_cost, 2.0 * EPSILON)
-        a_hi = max(interval.upper, EPSILON)
-        a_lo = min(max(interval.lower, EPSILON), a_hi)
-        lows.extend([p_lo, a_lo])
-        highs.extend([p_hi, a_hi])
-    return GeneBoxes(np.array(lows), np.array(highs))
-
-
-def repair(chromosome: np.ndarray, boxes: GeneBoxes) -> np.ndarray:
+def repair(chromosome: np.ndarray, problem: PlanProblem) -> np.ndarray:
     """Project every gene into its feasible box (total, idempotent)."""
-    return np.clip(np.asarray(chromosome, dtype=np.float64), boxes.low, boxes.high)
+    return np.clip(np.asarray(chromosome, dtype=np.float64), problem.low, problem.high)
 
 
-def fitness(population: np.ndarray, contexts: list[ProductContext],
-            boxes: GeneBoxes | None = None) -> np.ndarray:
-    """Expected weekly profit of each row of a [P, 2N] population, as [P]."""
+def fitness(population: np.ndarray, problem: PlanProblem) -> np.ndarray:
+    """Expected weekly profit of each row of a [P, 2N] population, as [P].
+    Every gene must lie in its box, so prices and allocations are positive."""
     pop = np.asarray(population, dtype=np.float64)
-    if pop.ndim != 2 or pop.shape[1] != 2 * len(contexts):
-        raise InputError(f"population shape {pop.shape} does not match {len(contexts)} products")
-    if boxes is not None and (np.any(pop < boxes.low - 1e-9) or np.any(pop > boxes.high + 1e-9)):
+    if pop.ndim != 2 or pop.shape[1] != problem.low.size:
+        raise InputError(f"population shape {pop.shape} does not match "
+                         f"{len(problem.product_ids)} products")
+    if np.any(pop < problem.low - 1e-9) or np.any(pop > problem.high + 1e-9):
         raise InvariantError("fitness called on an unrepaired chromosome")
-    if np.any(pop <= 0.0):
-        raise InvariantError("prices and allocations must be positive")
-    _, profit = _sold_and_profit(pop, contexts)
+    _, profit = _sold_and_profit(pop, problem)
     return np.add.accumulate(profit, axis=1)[:, -1]
 
 
-def gaussian_mutate(population: np.ndarray, boxes: GeneBoxes, cfg: GaConfig,
+def gaussian_mutate(population: np.ndarray, problem: PlanProblem, cfg: GaConfig,
                     rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Add zero-mean Gaussian noise to randomly selected genes of a [P, 2N]
     population (or one [2N] chromosome); sigma is `scale * sigma_fraction * box
     width` per gene.  Draws the whole mask, then the whole noise."""
     c = np.asarray(population, dtype=np.float64)
     mask = rng.random(c.shape) < cfg.mutation_prob
-    noise = rng.normal(0.0, 1.0, size=c.shape) * (scale * cfg.sigma_fraction * boxes.width)
+    noise = rng.normal(0.0, 1.0, size=c.shape) * (scale * cfg.sigma_fraction * problem.width)
     return np.where(mask, c + noise, c)
 
 
@@ -210,7 +205,7 @@ def tournament_select(fits: np.ndarray, size: int, count: int,
     return contenders[np.arange(count), np.argmax(fits[contenders], axis=1)]
 
 
-def breed(pop: np.ndarray, fits: np.ndarray, boxes: GeneBoxes, config: GaConfig,
+def breed(pop: np.ndarray, fits: np.ndarray, problem: PlanProblem, config: GaConfig,
           rng: np.random.Generator, scale: float) -> np.ndarray:
     """One generation of repaired children from a [P, 2N] population.
 
@@ -227,10 +222,10 @@ def breed(pop: np.ndarray, fits: np.ndarray, boxes: GeneBoxes, config: GaConfig,
     children = np.stack([np.where(crossed, blend_a, parents_a),
                          np.where(crossed, blend_b, parents_b)], axis=1)
     children = children.reshape(2 * pairs, -1)[:size]
-    return repair(gaussian_mutate(children, boxes, config, rng, scale), boxes)
+    return repair(gaussian_mutate(children, problem, config, rng, scale), problem)
 
 
-def evolve(contexts: list[ProductContext], config: GaConfig | None = None,
+def evolve(problem: PlanProblem, config: GaConfig | None = None,
            seed: int = 0) -> GaResult:
     """Run the GA.  Only with `elitism` 1 is the best individual so far carried
     over, in place of the worst child, so that the trace's best never falls.
@@ -239,16 +234,13 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None,
     population, then per generation: tournament contenders, crossover
     decisions, blend weights, mutation mask and mutation noise, each as one
     population-wide block."""
-    if not contexts:
-        raise InputError("no product contexts")
-    if all(ctx.interval.upper <= 0.0 for ctx in contexts):
+    if np.all(problem.upper <= 0.0):
         raise InputError("no feasible plan")
     config = config if config is not None else GaConfig()
-    boxes = gene_boxes(contexts)
     rng = np.random.default_rng(seed)
 
-    pop = rng.uniform(boxes.low, boxes.high, size=(config.pop, boxes.low.size))
-    fits = fitness(pop, contexts, boxes)
+    pop = rng.uniform(problem.low, problem.high, size=(config.pop, problem.low.size))
+    fits = fitness(pop, problem)
     evaluations = config.pop
 
     best_idx = int(np.argmax(fits))
@@ -259,8 +251,8 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None,
     trace: list[GenerationStats] = []
     scale = 1.0
     for gen in range(config.gens):
-        children = breed(pop, fits, boxes, config, rng, scale)
-        child_fits = fitness(children, contexts, boxes)
+        children = breed(pop, fits, problem, config, rng, scale)
+        child_fits = fitness(children, problem)
         evaluations += config.pop
 
         gen_best = int(np.argmax(child_fits))
@@ -285,29 +277,26 @@ def evolve(contexts: list[ProductContext], config: GaConfig | None = None,
                     last_improvement=last_improvement)
 
 
-def random_search(contexts: list[ProductContext], evaluations: int, seed: int = 0) -> tuple[np.ndarray, float]:
+def random_search(problem: PlanProblem, evaluations: int, seed: int = 0) -> tuple[np.ndarray, float]:
     """Equal-budget baseline: best of `evaluations` uniform draws from the boxes,
     drawn and scored RANDOM_SEARCH_BLOCK at a time (the same stream as one draw
     per evaluation)."""
-    if not contexts:
-        raise InputError("no product contexts")
-    boxes = gene_boxes(contexts)
     rng = np.random.default_rng(seed)
     best, best_fit = None, -np.inf
     for start in range(0, evaluations, RANDOM_SEARCH_BLOCK):
-        size = (min(RANDOM_SEARCH_BLOCK, evaluations - start), boxes.low.size)
-        block = repair(rng.uniform(boxes.low, boxes.high, size=size), boxes)
-        fits = fitness(block, contexts, boxes)
+        size = (min(RANDOM_SEARCH_BLOCK, evaluations - start), problem.low.size)
+        block = repair(rng.uniform(problem.low, problem.high, size=size), problem)
+        fits = fitness(block, problem)
         i = int(np.argmax(fits))
         if fits[i] > best_fit:
             best, best_fit = block[i], fits[i]
     return best, float(best_fit)
 
 
-def decode_plan(chromosome: np.ndarray, contexts: list[ProductContext]) -> list[dict]:
+def decode_plan(chromosome: np.ndarray, problem: PlanProblem) -> list[dict]:
     """Decode a chromosome into per-product plan rows."""
     genes = np.asarray(chromosome, dtype=np.float64)
-    sold, profit = _sold_and_profit(genes, contexts)
-    return [{"product_id": ctx.product_id, "price": float(genes[2 * i]),
+    sold, profit = _sold_and_profit(genes, problem)
+    return [{"product_id": pid, "price": float(genes[2 * i]),
              "allocation": float(genes[2 * i + 1]), "expected_sales": float(sold[i]),
-             "expected_profit": float(profit[i])} for i, ctx in enumerate(contexts)]
+             "expected_profit": float(profit[i])} for i, pid in enumerate(problem.product_ids)]

@@ -97,6 +97,28 @@ def plan_profit_reference(chromosome, contexts) -> float:
     return total
 
 
+def gene_boxes_reference(contexts) -> tuple[list[float], list[float]]:
+    """[2N] gene box lows and highs, price/alloc interleaved, one product at a time.
+
+    A downward-sloping curve bounds price by the preimage of the sales interval
+    under the weekly demand line, floored at 1e-6; any other curve by 1e-6 and
+    5 * unit cost.  Allocation is bounded by the interval, floored at 1e-6.
+    """
+    eps = 1e-6
+    lows, highs = [], []
+    for ctx in contexts:
+        curve, interval = ctx.demand, ctx.interval
+        if curve.slope < 0.0:
+            p_lo = max(eps, (interval.upper / 7.0 - curve.intercept) / curve.slope)
+            p_hi = max(p_lo, (interval.lower / 7.0 - curve.intercept) / curve.slope)
+        else:
+            p_lo, p_hi = eps, max(5.0 * ctx.unit_cost, 2.0 * eps)
+        a_hi = max(interval.upper, eps)
+        lows += [p_lo, min(max(interval.lower, eps), a_hi)]
+        highs += [p_hi, a_hi]
+    return lows, highs
+
+
 def generation_reference(pop, fits, low, high, crossover_rate: float, prob: float,
                          sigma, contenders, crossover_draws, blend,
                          mask_draws, normals) -> np.ndarray:

@@ -20,7 +20,7 @@ from freshplan.autodiff import Tensor
 from freshplan.config import derive_seed
 from freshplan.demand import DemandCurve
 from freshplan.forecaster import ForecasterModel, ModelConfig
-from freshplan.gaopt import GaConfig, ProductContext
+from freshplan.gaopt import GaConfig, PlanProblem, ProductContext
 from freshplan.intervals import SalesInterval
 from freshplan.layers import ConvLayer, attention_fuse, dilated_conv
 from freshplan.pipeline import fit_normalizer, make_windows
@@ -264,7 +264,8 @@ def test_a09_ga_reaches_analytic_optimum():
     price, alloc, target = single_product_grid_optimum()
     assert (price, alloc) == (pytest.approx(6.0, abs=0.02), pytest.approx(4.0, abs=0.02))
     for seed in range(10):
-        result = gaopt.evolve(_analytic_context(), GaConfig(pop=100, gens=200), seed=seed)
+        result = gaopt.evolve(PlanProblem(_analytic_context()), GaConfig(pop=100, gens=200),
+                              seed=seed)
         assert result.best_fitness >= 0.98 * target, \
             f"seed {seed}: {result.best_fitness:.3f} < 98% of {target:.3f}"
         peaks = [s.max_fitness for s in result.trace]
@@ -293,11 +294,11 @@ def _instance_32(seed=1234):
 
 def test_a10_ga_beats_equal_budget_random_search():
     started = time.perf_counter()
-    contexts = _instance_32()
+    problem = PlanProblem(_instance_32())
     wins = 0
     for seed in range(10):
-        result = gaopt.evolve(contexts, GaConfig(pop=100, gens=100), seed=seed)
-        _, random_best = gaopt.random_search(contexts, result.evaluations, seed=seed + 5000)
+        result = gaopt.evolve(problem, GaConfig(pop=100, gens=100), seed=seed)
+        _, random_best = gaopt.random_search(problem, result.evaluations, seed=seed + 5000)
         wins += result.best_fitness >= random_best
     assert wins >= 9, f"GA won only {wins}/10 seeds"
     _finish("A10", started, 5 * 60, f"GA >= equal-budget random search on {wins}/10 seeds")

@@ -179,6 +179,17 @@ class TestForecastSkips:
         assert "P0" not in {r["product_id"] for r in forecast}
         assert manifest.data["stages"]["forecast"]["skipped"] == 1
 
+    @pytest.mark.parametrize("stage", ["forecast", "intervals"])
+    def test_no_usable_product_is_input_error(self, tmp_path, monkeypatch, caplog, stage):
+        # A has 2 days and B 1: a header-only artifact would fail every later reader.
+        name, header, rows = {
+            "forecast": ("costs.csv", "date,product_id,wholesale_cost", COSTS_OK),
+            "intervals": ("sales.csv", "date,product_id,quantity_kg,unit_price", SALES_OK)}[stage]
+        (tmp_path / name).write_text(header + "\n" + "\n".join(rows) + "\n")
+        assert exit_code(monkeypatch, ["--out", str(tmp_path), stage]) == 1
+        assert f"{stage}: no product has the 22 days a window needs (2 skipped)" in caplog.text
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+
 
 class TestOptimizeSkips:
     def test_nonpositive_forecast_cost_is_skipped(self, full_run, tmp_path):
@@ -239,29 +250,28 @@ class TestOptimizeAtGaEdges:
         shutil.copytree(src, out)
         decoded = []
 
-        def recording_decode(chromosome, contexts):
-            decoded.append((chromosome, contexts))
-            return decode_plan(chromosome, contexts)
+        def recording_decode(chromosome, problem):
+            decoded.append((chromosome, problem))
+            return decode_plan(chromosome, problem)
 
         decode_plan = cli.gaopt.decode_plan
         monkeypatch.setattr(cli.gaopt, "decode_plan", recording_decode)
         flags = [f for key in (f"topsis.top_k={cfg.topsis.top_k}", *settings) for f in ("--set", key)]
         assert cli.run([*flags, "--out", str(out), "optimize"]) == 0
-        [(best, contexts)] = decoded
-        return out, best, contexts
+        [(best, problem)] = decoded
+        return out, best, problem
 
     def test_no_generations(self, full_run, tmp_path, monkeypatch):
-        out, best, contexts = self.optimize(full_run, tmp_path, monkeypatch, "ga.gens=0")
+        out, best, problem = self.optimize(full_run, tmp_path, monkeypatch, "ga.gens=0")
         assert (out / "ga_trace.csv").read_text() == ",".join(cli.GA_TRACE_HEADER) + "\n"
         stage = json.loads((out / "manifest.json").read_text())["stages"]["optimize"]
         assert stage["last_improving_generation"] == -1
-        boxes = cli.gaopt.gene_boxes(contexts)
-        assert np.all(boxes.low <= best) and np.all(best <= boxes.high)
+        assert np.all(problem.low <= best) and np.all(best <= problem.high)
         plan = read_table(out / "plan.csv")
-        assert [r["product_id"] for r in plan] == [ctx.product_id for ctx in contexts]
+        assert [r["product_id"] for r in plan] == problem.product_ids
         genes = np.array([[float(r["price"]), float(r["allocation"])] for r in plan]).ravel()
         rounding = 5e-7  # the CSV keeps 6 decimals
-        assert np.all(boxes.low - rounding <= genes) and np.all(genes <= boxes.high + rounding)
+        assert np.all(problem.low - rounding <= genes) and np.all(genes <= problem.high + rounding)
 
     def test_population_of_one(self, full_run, tmp_path, monkeypatch):
         out, _, _ = self.optimize(full_run, tmp_path, monkeypatch, "ga.pop=1", "ga.gens=5")
@@ -479,12 +489,15 @@ SCHEMA_CASES = [
     for source, name, schema in [*((name.removesuffix(".csv"), name, schema)
                                    for name, schema in pipeline.SCHEMAS.items()),
                                  ("predictions", "forecast.csv", pipeline.FORECAST)]
-    for corruption, column in corruptions(schema)]
+    for corruption, column in corruptions(schema)] + [
+    # A ranked product with no forecast, interval or sales row.
+    pytest.param("ranking", "ranking.csv", "P999", "product_id", id="ranking-unknown id-product_id")]
 
 
 class TestInputSchemas:
     """Every input goes through `pipeline.read_csv`: a bad file is exit 1 with a
-    `<file>:<line>` message (`<file>:` for its header or an empty body)."""
+    `<file>:<line>` message (`<file>:` for its header or an empty body).  A
+    ranked product unknown to the other inputs is a documented skip, exit 0."""
 
     @pytest.mark.parametrize("source,name,corruption,column", SCHEMA_CASES)
     def test_corrupt_input_rejected(self, full_run, tmp_path, monkeypatch, capsys, caplog,
@@ -510,6 +523,12 @@ class TestInputSchemas:
             rows[1] = ",".join(fields)
             where = f"{name}:3: {column} must be"
         (out / name).write_text("\n".join([header, *rows]) + "\n")
+        if column == "product_id":
+            assert exit_code(monkeypatch, stage_argv(source, out)) == 0
+            stage = json.loads((out / "manifest.json").read_text())["stages"]["optimize"]
+            assert stage["skipped"] == [{"product_id": corruption,
+                                         "reason": "missing forecast, interval, or sales"}]
+            return
         assert exit_code(monkeypatch, stage_argv(source, out)) == 1
         assert where in caplog.text
         assert "Traceback" not in caplog.text + capsys.readouterr().err
@@ -786,3 +805,50 @@ class TestCommandLine:
         assert cli.run(["--set", "synth.products=2", "--set", "synth.days=40",
                         "--seed", "9", "--out", str(other), "synth"]) == 0
         assert (tmp_path / "costs.csv").read_bytes() == (other / "costs.csv").read_bytes()
+
+
+# One bad value per config key, through `cli.main`: (key, value, exit code).  The
+# config check rejects all but one before any stage runs (exit 1, the key named);
+# train.lr=1e300 passes it, and the model it trains diverges (exit 2).
+BAD_CONFIG_VALUES = [
+    ("window.input_days", "0", 1),
+    ("tcn.channels", "0", 1), ("tcn.kernel", "0", 1), ("tcn.dilations", "1,0", 1),
+    ("train.epochs", "-1", 1), ("train.lr", "0", 1), ("train.lr", "1e300", 2),
+    ("train.batch_size", "-1", 1),
+    ("bootstrap.replicas", "0", 1), ("bootstrap.min_fraction", "0", 1),
+    ("bootstrap.level", "1", 1), ("bootstrap.channels", "0", 1),
+    ("bootstrap.dilations", "0", 1), ("bootstrap.epochs", "-1", 1), ("bootstrap.lr", "inf", 1),
+    ("topsis.top_k", "0", 1),
+    ("ga.pop", "0", 1), ("ga.gens", "-1", 1), ("ga.tournament", "0", 1), ("ga.elitism", "2", 1),
+    ("ga.crossover_rate", "1.5", 1), ("ga.mutation_prob", "-0.1", 1),
+    ("ga.sigma_fraction", "nan", 1), ("ga.sigma_decay", "0", 1),
+    ("synth.products", "0", 1), ("synth.days", "29", 1),
+    *((f"paths.{name}", "", 1) for name in ("costs", "sales", "forecast", "intervals",
+                                            "intervals_daily", "demand", "ranking", "plan",
+                                            "ga_trace")),
+]
+NO_BAD_VALUE = {
+    "seed": "every integer is a seed",
+    "paths.boundaries": "empty means the built-in table, and any other value names a file "
+                        "that TestInputSchemas checks as the boundaries input",
+}
+SMALL_RUN = ["synth.products=2", "synth.days=40", "tcn.channels=4", "train.epochs=3"]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("key,value,code", BAD_CONFIG_VALUES,
+                             ids=[f"{key}={value}" for key, value, _ in BAD_CONFIG_VALUES])
+    def test_bad_value_through_main(self, tmp_path, monkeypatch, capsys, caplog, key, value, code):
+        out = tmp_path / "out"
+        settings = [f for setting in (*SMALL_RUN, f"{key}={value}") for f in ("--set", setting)]
+        assert exit_code(monkeypatch, ["--out", str(out), *settings, "run-all"]) == code
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        if code == 1:
+            assert f"{key} must" in caplog.text
+            assert not out.exists()
+        else:
+            assert "training loss diverged" in caplog.text
+
+    def test_every_key_has_a_case_or_a_reason(self):
+        covered = {key for key, _, _ in BAD_CONFIG_VALUES} | set(NO_BAD_VALUE)
+        assert covered == {key for key, _ in RunConfig().flat_items()}

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import generation_reference, plan_profit_reference
+from oracles import gene_boxes_reference, generation_reference, plan_profit_reference
 from test_acceptance import _instance_32
 
 from freshplan import gaopt
@@ -16,13 +16,13 @@ from freshplan.demand import DemandCurve
 from freshplan.errors import InputError, InvariantError
 from freshplan.gaopt import (
     GaConfig,
+    PlanProblem,
     ProductContext,
     breed,
     crossover,
     evolve,
     fitness,
     gaussian_mutate,
-    gene_boxes,
     repair,
     weekly_demand,
 )
@@ -52,50 +52,49 @@ def chromosomes(*rows) -> np.ndarray:
 class TestFitness:
     def test_analytic_point(self):
         ctx = analytic_context()
-        assert fitness(chromosomes([6.0, 4.0]), ctx)[0] == pytest.approx(16.0)
+        assert fitness(chromosomes([6.0, 4.0]), PlanProblem(ctx))[0] == pytest.approx(16.0)
         assert plan_profit_reference([6.0, 4.0], ctx) == pytest.approx(16.0)
 
     def test_alloc_equal_to_sales_gives_margin_times_alloc(self):
-        ctx = analytic_context()
+        problem = PlanProblem(analytic_context())
         price = 5.0
-        demand = weekly_demand(ctx, np.array([price]))[0]
-        got = fitness(chromosomes([price, demand]), ctx)[0]
+        demand = weekly_demand(problem, np.array([price]))[0]
+        got = fitness(chromosomes([price, demand]), problem)[0]
         assert got == pytest.approx((price - 2.0) * demand)
 
     def test_price_below_cost_is_negative(self):
-        ctx = analytic_context()
-        assert fitness(chromosomes([1.0, 3.0]), ctx)[0] < 0.0
+        problem = PlanProblem(analytic_context())
+        assert fitness(chromosomes([1.0, 3.0]), problem)[0] < 0.0
 
     def test_one_profit_per_row(self):
         ctx = analytic_context()
-        got = fitness(chromosomes([6.0, 4.0], [1.0, 3.0], [5.0, 5.0]), ctx)
+        got = fitness(chromosomes([6.0, 4.0], [1.0, 3.0], [5.0, 5.0]), PlanProblem(ctx))
         assert got.shape == (3,)
         assert got.tolist() == [plan_profit_reference(row, ctx)
                                 for row in ([6.0, 4.0], [1.0, 3.0], [5.0, 5.0])]
 
     def test_wrong_shape_rejected(self):
-        ctx = analytic_context()
+        problem = PlanProblem(analytic_context())
         with pytest.raises(InputError):
-            fitness(np.array([6.0, 4.0]), ctx)
+            fitness(np.array([6.0, 4.0]), problem)
         with pytest.raises(InputError):
-            fitness(chromosomes([6.0, 4.0, 1.0, 1.0]), ctx)
+            fitness(chromosomes([6.0, 4.0, 1.0, 1.0]), problem)
 
     def test_unrepaired_chromosome_rejected(self):
-        ctx = analytic_context()
-        boxes = gene_boxes(ctx)
+        problem = PlanProblem(analytic_context())
         with pytest.raises(InvariantError):
-            fitness(chromosomes([6.0, 4.0], [50.0, 4.0]), ctx, boxes)
+            fitness(chromosomes([6.0, 4.0], [50.0, 4.0]), problem)
 
     def test_nonpositive_genes_rejected(self):
-        ctx = analytic_context()
+        problem = PlanProblem(analytic_context())
         with pytest.raises(InvariantError):
-            fitness(chromosomes([6.0, 4.0], [-1.0, 4.0]), ctx)
+            fitness(chromosomes([6.0, 4.0], [-1.0, 4.0]), problem)
 
 
 class TestWeeklyDemand:
     def test_downward_sloping(self):
-        ctx = analytic_context()
-        got = weekly_demand(ctx, np.array([[3.0], [10.0], [20.0]]))
+        problem = PlanProblem(analytic_context())
+        got = weekly_demand(problem, np.array([[3.0], [10.0], [20.0]]))
         assert got[0, 0] == pytest.approx(7.0)
         assert got[1, 0] == pytest.approx(0.0, abs=1e-12)
         assert got[2, 0] == 0.0
@@ -103,21 +102,21 @@ class TestWeeklyDemand:
     def test_flat_curve_pinned_into_interval(self):
         curve = DemandCurve("F", 4.0, 0.0, 0.0, 10, 4.0)
         interval = SalesInterval("F", 20.0, 2.0, 10.0, 20.0, 0.95)
-        ctx = [ProductContext("F", 1.0, curve, interval)]
+        problem = PlanProblem([ProductContext("F", 1.0, curve, interval)])
         # 7 * 4 = 28 clamps to the interval upper bound
-        assert weekly_demand(ctx, np.array([[9.0], [1.0]])).tolist() == [[20.0], [20.0]]
+        assert weekly_demand(problem, np.array([[9.0], [1.0]])).tolist() == [[20.0], [20.0]]
 
     def test_anomalous_curve_is_price_insensitive(self):
         curve = DemandCurve("A", -5.0, 2.0, 0.3, 10, 30.0)
         interval = SalesInterval("A", 200.0, 10.0, 150.0, 260.0, 0.95)
-        ctx = [ProductContext("A", 1.0, curve, interval)]
-        assert weekly_demand(ctx, np.array([[2.0], [50.0]])).tolist() == [[7.0 * 30.0]] * 2
+        problem = PlanProblem([ProductContext("A", 1.0, curve, interval)])
+        assert weekly_demand(problem, np.array([[2.0], [50.0]])).tolist() == [[7.0 * 30.0]] * 2
 
     def test_each_column_follows_its_own_curve(self):
         flat = ProductContext("F", 1.0, DemandCurve("F", 4.0, 0.0, 0.0, 10, 4.0),
                               SalesInterval("F", 20.0, 2.0, 10.0, 20.0, 0.95))
-        ctx = [*analytic_context(), flat]
-        assert weekly_demand(ctx, np.array([3.0, 3.0])).tolist() == pytest.approx([7.0, 20.0])
+        problem = PlanProblem([*analytic_context(), flat])
+        assert weekly_demand(problem, np.array([3.0, 3.0])).tolist() == pytest.approx([7.0, 20.0])
 
 
 class TestContext:
@@ -138,73 +137,73 @@ class TestContext:
 class TestRepair:
     def test_feasible_chromosome_unchanged(self):
         ctx = analytic_context()
-        boxes = gene_boxes(ctx)
+        problem = PlanProblem(ctx)
         c = np.array([6.0, 4.0])
-        assert np.array_equal(repair(c, boxes), c)
+        assert np.array_equal(repair(c, problem), c)
 
     def test_idempotent(self):
         ctx = analytic_context(lower=2.0, upper=6.0)
-        boxes = gene_boxes(ctx)
+        problem = PlanProblem(ctx)
         rng = np.random.default_rng(0)
         for _ in range(100):
             c = rng.uniform(-20, 40, size=2)
-            once = repair(c, boxes)
-            assert np.array_equal(repair(once, boxes), once)
+            once = repair(c, problem)
+            assert np.array_equal(repair(once, problem), once)
 
     def test_price_projected_to_demand_bound(self):
         ctx = analytic_context(lower=2.0, upper=6.0)
-        boxes = gene_boxes(ctx)
-        fixed = repair(np.array([1.0, 4.0]), boxes)  # demand(1) = 9 > upper 6
-        assert abs(weekly_demand(ctx, fixed[::2])[0] - 6.0) < 1e-9
+        problem = PlanProblem(ctx)
+        fixed = repair(np.array([1.0, 4.0]), problem)  # demand(1) = 9 > upper 6
+        assert abs(weekly_demand(problem, fixed[::2])[0] - 6.0) < 1e-9
 
     def test_negative_alloc_clamped_to_lower(self):
         ctx = analytic_context(lower=2.0, upper=6.0)
-        boxes = gene_boxes(ctx)
-        fixed = repair(np.array([5.0, -5.0]), boxes)
+        problem = PlanProblem(ctx)
+        fixed = repair(np.array([5.0, -5.0]), problem)
         assert fixed[1] == 2.0
 
     def test_zero_lower_alloc_clamped_to_epsilon(self):
         ctx = analytic_context(lower=0.0, upper=6.0)
-        boxes = gene_boxes(ctx)
-        fixed = repair(np.array([5.0, -5.0]), boxes)
+        problem = PlanProblem(ctx)
+        fixed = repair(np.array([5.0, -5.0]), problem)
         assert fixed[1] == pytest.approx(gaopt.EPSILON)
 
 
 class TestMutation:
     def test_zero_sigma_is_identity(self):
         ctx = analytic_context()
-        boxes = gene_boxes(ctx)
+        problem = PlanProblem(ctx)
         cfg = GaConfig(mutation_prob=1.0, sigma_fraction=0.0)
         pop = chromosomes([6.0, 4.0], [1.0, 3.0])
-        out = gaussian_mutate(pop, boxes, cfg, np.random.default_rng(0))
+        out = gaussian_mutate(pop, problem, cfg, np.random.default_rng(0))
         assert np.array_equal(out, pop)
 
     def test_zero_probability_is_identity(self):
         ctx = analytic_context()
-        boxes = gene_boxes(ctx)
+        problem = PlanProblem(ctx)
         cfg = GaConfig(mutation_prob=0.0, sigma_fraction=0.5)
         pop = chromosomes([6.0, 4.0], [1.0, 3.0])
-        assert np.array_equal(gaussian_mutate(pop, boxes, cfg, np.random.default_rng(0)), pop)
+        assert np.array_equal(gaussian_mutate(pop, problem, cfg, np.random.default_rng(0)), pop)
 
     def test_single_row_still_works(self):
         ctx = analytic_context()
-        boxes = gene_boxes(ctx)
+        problem = PlanProblem(ctx)
         cfg = GaConfig(mutation_prob=0.5, sigma_fraction=0.3)
         c = np.array([6.0, 4.0])
-        row = gaussian_mutate(c, boxes, cfg, np.random.default_rng(7))
+        row = gaussian_mutate(c, problem, cfg, np.random.default_rng(7))
         mask = np.random.default_rng(7).random(2) < cfg.mutation_prob
         assert row.shape == (2,)
         assert np.array_equal(row == c, ~mask)
 
     def test_perturbations_have_zero_mean(self):
         ctx = analytic_context()
-        boxes = gene_boxes(ctx)
+        problem = PlanProblem(ctx)
         cfg = GaConfig(mutation_prob=1.0, sigma_fraction=0.1)
         rng = np.random.default_rng(123)
         c = np.array([6.0, 4.0])
         trials = 100_000
-        deltas = gaussian_mutate(np.tile(c, (trials, 1)), boxes, cfg, rng) - c
-        sigma = cfg.sigma_fraction * boxes.width
+        deltas = gaussian_mutate(np.tile(c, (trials, 1)), problem, cfg, rng) - c
+        sigma = cfg.sigma_fraction * problem.width
         for g in range(2):
             assert abs(deltas[:, g].mean()) < 3.0 * sigma[g] / np.sqrt(trials)
 
@@ -259,20 +258,20 @@ class TestEvolve:
         target = grid_optimum()
         assert target == pytest.approx(16.0, abs=0.01)
         for seed in range(10):
-            res = evolve(analytic_context(), GaConfig(pop=100, gens=200), seed=seed)
+            res = evolve(PlanProblem(analytic_context()), GaConfig(pop=100, gens=200), seed=seed)
             assert res.best_fitness >= 0.98 * target
             peaks = [s.max_fitness for s in res.trace]
             assert all(b >= a for a, b in zip(peaks, peaks[1:]))
 
     def test_deterministic_per_seed(self):
-        a = evolve(analytic_context(), GaConfig(pop=30, gens=40), seed=5)
-        b = evolve(analytic_context(), GaConfig(pop=30, gens=40), seed=5)
+        a = evolve(PlanProblem(analytic_context()), GaConfig(pop=30, gens=40), seed=5)
+        b = evolve(PlanProblem(analytic_context()), GaConfig(pop=30, gens=40), seed=5)
         assert np.array_equal(a.best, b.best)
         assert [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in a.trace] == \
                [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in b.trace]
 
     def test_stats_ordering_every_generation(self):
-        res = evolve(analytic_context(), GaConfig(pop=40, gens=50), seed=2)
+        res = evolve(PlanProblem(analytic_context()), GaConfig(pop=40, gens=50), seed=2)
         assert len(res.trace) == 50
         for s in res.trace:
             assert s.min_fitness <= s.avg_fitness <= s.max_fitness
@@ -281,26 +280,28 @@ class TestEvolve:
         curve = DemandCurve("X", 1.0, -1.0, 1.0, 10, 1.0)
         interval = SalesInterval("X", 0.0, 0.0, 0.0, 0.0, 0.95)
         with pytest.raises(InputError, match="no feasible plan"):
-            evolve([ProductContext("X", 1.0, curve, interval)], GaConfig(pop=10, gens=5), seed=0)
+            problem = PlanProblem([ProductContext("X", 1.0, curve, interval)])
+            evolve(problem, GaConfig(pop=10, gens=5), seed=0)
 
     def test_empty_context_rejected(self):
         with pytest.raises(InputError):
-            evolve([], GaConfig())
+            evolve(PlanProblem([]), GaConfig())
 
 
 def test_random_search_budget_and_feasibility():
     ctx = analytic_context(lower=2.0, upper=6.0)
-    best, best_fit = gaopt.random_search(ctx, 500, seed=9)
-    boxes = gene_boxes(ctx)
-    assert np.all(best >= boxes.low) and np.all(best <= boxes.high)
-    assert best_fit == fitness(best[None], ctx, boxes)[0] == plan_profit_reference(best, ctx)
+    problem = PlanProblem(ctx)
+    best, best_fit = gaopt.random_search(problem, 500, seed=9)
+    assert np.all(best >= problem.low) and np.all(best <= problem.high)
+    assert best_fit == fitness(best[None], problem)[0] == plan_profit_reference(best, ctx)
 
 
 def test_decode_plan_matches_fitness():
     ctx = analytic_context()
+    problem = PlanProblem(ctx)
     chromosome = np.array([6.0, 4.0])
-    rows = gaopt.decode_plan(chromosome, ctx)
-    assert rows[0]["expected_profit"] == pytest.approx(fitness(chromosome[None], ctx)[0])
+    rows = gaopt.decode_plan(chromosome, problem)
+    assert rows[0]["expected_profit"] == pytest.approx(fitness(chromosome[None], problem)[0])
     assert rows[0]["expected_profit"] == pytest.approx(plan_profit_reference(chromosome, ctx))
     assert rows[0]["expected_sales"] == pytest.approx(4.0)
 
@@ -326,13 +327,15 @@ def contexts_of(products) -> list[ProductContext]:
 @given(st.lists(PRODUCTS, min_size=1, max_size=6), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_batched_evaluator_matches_row_by_row_reference(products, pop_size, seed):
     ctx = contexts_of(products)
-    boxes = gene_boxes(ctx)
-    raw = np.random.default_rng(seed).uniform(
-        boxes.low - boxes.width, boxes.high + boxes.width, size=(pop_size, boxes.low.size))
-    pop = repair(raw, boxes)
-    assert np.array_equal(pop, np.array([repair(row, boxes) for row in raw]))
-    assert np.array_equal(repair(pop, boxes), pop)
-    assert fitness(pop, ctx, boxes).tolist() == [plan_profit_reference(row, ctx) for row in pop]
+    problem = PlanProblem(ctx)
+    assert (problem.low.tolist(), problem.high.tolist()) == gene_boxes_reference(ctx)
+    raw = np.random.default_rng(seed).uniform(problem.low - problem.width,
+                                              problem.high + problem.width,
+                                              size=(pop_size, problem.low.size))
+    pop = repair(raw, problem)
+    assert np.array_equal(pop, np.array([repair(row, problem) for row in raw]))
+    assert np.array_equal(repair(pop, problem), pop)
+    assert fitness(pop, problem).tolist() == [plan_profit_reference(row, ctx) for row in pop]
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,29 +347,29 @@ def test_generation_matches_child_by_child_reference(products, pop_size, tournam
     """A generation bred from block draws equals the child-by-child loop fed the
     same draws, and takes exactly the documented draws from the generator."""
     ctx = contexts_of(products)
-    boxes = gene_boxes(ctx)
+    problem = PlanProblem(ctx)
     rng = np.random.default_rng(seed)
-    pop = rng.uniform(boxes.low, boxes.high, size=(pop_size, boxes.low.size))
-    fits = fitness(pop, ctx, boxes)
+    pop = rng.uniform(problem.low, problem.high, size=(pop_size, problem.low.size))
+    fits = fitness(pop, problem)
     fits[rng.integers(0, pop_size, size=pop_size)] = fits.max()  # ties: the first contender must win
     config = GaConfig(pop=pop_size, tournament=tournament, crossover_rate=rate,
                       mutation_prob=prob, sigma_fraction=0.2)
 
     twin = copy.deepcopy(rng)
-    pairs, genes = (pop_size + 1) // 2, boxes.low.size
+    pairs, genes = (pop_size + 1) // 2, problem.low.size
     expected = generation_reference(
-        pop, fits, boxes.low, boxes.high, rate, prob, scale * 0.2 * boxes.width,
+        pop, fits, problem.low, problem.high, rate, prob, scale * 0.2 * problem.width,
         twin.integers(0, pop_size, (2 * pairs, tournament)), twin.random(pairs),
         twin.uniform(-0.5, 1.5, (pairs, genes)), twin.random((pop_size, genes)),
         twin.normal(0.0, 1.0, (pop_size, genes)))
 
-    children = breed(pop, fits, boxes, config, rng, scale)
+    children = breed(pop, fits, problem, config, rng, scale)
     assert children.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_last_improvement_is_last_rise_of_best():
-    res = evolve(_instance_32(), GaConfig(pop=30, gens=60), seed=4)
+    res = evolve(PlanProblem(_instance_32()), GaConfig(pop=30, gens=60), seed=4)
     best = [s.max_fitness for s in res.trace]
     rises = [g for g in range(1, len(best)) if best[g] > best[g - 1]]
     assert 0 <= res.last_improvement == rises[-1] < 60
@@ -374,7 +377,7 @@ def test_last_improvement_is_last_rise_of_best():
 
 
 def test_no_generations_means_no_improvement():
-    res = evolve(analytic_context(), GaConfig(pop=5, gens=0), seed=0)
+    res = evolve(PlanProblem(analytic_context()), GaConfig(pop=5, gens=0), seed=0)
     assert (res.last_improvement, res.trace, res.evaluations) == (-1, [], 5)
 
 
@@ -382,19 +385,64 @@ def test_draw_order_does_not_depend_on_batching(monkeypatch):
     """The GA and random search draw the same numbers whether the population is
     scored at once or one row at a time through the reference."""
     contexts = _instance_32()
+    problem = PlanProblem(contexts)
 
     def run():
-        result = evolve(contexts, GaConfig(pop=31, gens=40), seed=3)
-        best, best_fit = gaopt.random_search(contexts, result.evaluations, seed=5003)
+        result = evolve(problem, GaConfig(pop=31, gens=40), seed=3)
+        best, best_fit = gaopt.random_search(problem, result.evaluations, seed=5003)
         trace = [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in result.trace]
         return result.best.tobytes(), result.best_fitness, trace, result.evaluations, \
             best.tobytes(), best_fit
 
     batched = run()
-    monkeypatch.setattr(gaopt, "fitness", lambda pop, contexts, boxes=None: np.array(
+    monkeypatch.setattr(gaopt, "fitness", lambda pop, problem: np.array(
         [plan_profit_reference(row, contexts) for row in pop]))
     assert run() == batched
     assert batched[3] > gaopt.RANDOM_SEARCH_BLOCK  # random search spans more than one block
+
+
+def pinned_instance() -> list[ProductContext]:
+    """A downward-sloping curve, a flat curve, a zero-width interval, and an
+    interval above all demand the curve allows (an empty price preimage)."""
+    def product(pid, cost, intercept, slope, mean_volume, lower, upper):
+        return ProductContext(pid, cost, DemandCurve(pid, intercept, slope, 0.5, 30, mean_volume),
+                              SalesInterval(pid, (lower + upper) / 2, 1.0, lower, upper, 0.95))
+
+    return [product("S", 3.0, 12.0, -1.5, 6.0, 20.0, 60.0),
+            product("F", 1.5, 4.0, 0.0, 4.0, 10.0, 20.0),
+            product("Z", 2.0, 9.0, -0.5, 5.0, 28.0, 28.0),
+            product("E", 0.5, 1.0, -0.2, 0.6, 40.0, 55.0)]
+
+
+def test_evolve_bits_are_pinned():
+    """evolve's result on the pinned instance, as float.hex, recorded before the
+    per-product arrays moved into PlanProblem; any change to the arithmetic or
+    the random stream shows here."""
+    result = evolve(PlanProblem(pinned_instance()), GaConfig(pop=16, gens=6), seed=7)
+    assert [float(v).hex() for v in result.best] == [
+        "0x1.3db6cc0b506bep+2", "0x1.144f242314593p+5", "0x1.df0646ec176ebp+2",
+        "0x1.14c4e9739b9f2p+4", "0x1.4000000000000p+3", "0x1.c000000000000p+4",
+        "0x1.0c6f7a0b5ed8dp-20", "0x1.4ef0cc11487edp+5"]
+    assert result.best_fitness.hex() == "0x1.693635f21c498p+8"
+    assert [(s.max_fitness.hex(), s.min_fitness.hex(), s.avg_fitness.hex())
+            for s in result.trace] == [
+        ("0x1.51c02cc7ebb59p+8", "0x1.83366ac54024ep+7", "0x1.f8b19747ee471p+7"),
+        ("0x1.51c02cc7ebb59p+8", "0x1.c9ee3a46720d0p+7", "0x1.1da27fb868bbfp+8"),
+        ("0x1.54977c02a58f3p+8", "0x1.1141e7c045b32p+8", "0x1.327416dff30e2p+8"),
+        ("0x1.5c30e9b22cce3p+8", "0x1.3123819693fabp+8", "0x1.4591eb1d3c23dp+8"),
+        ("0x1.5cb9be4bdf40dp+8", "0x1.444fcb6aa77aep+8", "0x1.51ac787da41bep+8"),
+        ("0x1.693635f21c498p+8", "0x1.3d10c48608c38p+8", "0x1.568380bd07fa8p+8")]
+
+
+def test_each_box_is_the_products_own():
+    contexts = pinned_instance()
+    mixed = PlanProblem(contexts)
+    for i, ctx in enumerate(contexts):
+        alone = PlanProblem([ctx])
+        assert mixed.low[2 * i:2 * i + 2].tolist() == alone.low.tolist()
+        assert mixed.high[2 * i:2 * i + 2].tolist() == alone.high.tolist()
+    assert mixed.low[4:6].tolist() == mixed.high[4:6].tolist()  # Z: a zero-width box
+    assert mixed.low[6] == mixed.high[6] == gaopt.EPSILON  # E: the price collapses to EPSILON
 
 
 def test_ga_convergence_script_writes_its_trace(tmp_path):
