@@ -4,16 +4,18 @@ A `Tensor` is one node of an acyclic computation graph: it holds a value, a
 gradient slot, references to its operand nodes, and a closure that applies the
 local derivative during the backward sweep.  Scalars are tensors of shape ();
 `backward` may only be started from one of those.  The op set is exactly what
-the forecasting model needs rather than a general broadcasting engine:
-elementwise `add`, `sub`, `mul` and `pow_const`, `matmul` with stacked batch
-dimensions, and `mean`; `+`, `-`, `*` and `**` on a left-hand `Tensor` are
-shorthand for the elementwise four.  They build the dense head and the loss;
-the residual blocks and the attention fusion are single nodes with their own
-backward (`layers.py`), made with the same `Tensor` constructor.
+the forecasting model's loss needs: `sub` of two tensors of equal shape,
+`pow_const` and `mean`, with `-` and `**` on a left-hand `Tensor` as
+shorthand.  The model itself is three kinds of single node with their own
+backward (`layers.py`): a residual block, the attention fusion and the dense
+head, made with the same `Tensor` constructor.
 
-A tensor needs a gradient when it is `requires_grad` or has a `_backward`;
-`accumulate` drops what arrives for any other tensor (raw inputs, targets), and
-a backward may skip computing a gradient for an operand that needs none.
+Every tensor takes a creation stamp from one counter.  A node is built after
+its operands, so creation order is topological, and `backward` runs the nodes
+it reaches from newest to oldest.  A tensor needs a gradient when it is
+`requires_grad` or has a `_backward`; `accumulate` drops what arrives for any
+other tensor (raw inputs, targets), and a backward may skip computing a
+gradient for an operand that needs none.
 
 `Adam` updates the parameters of a `ParamSet` as one float64 vector: it
 rebinds every parameter's `data` to a view into that vector, copies the
@@ -29,17 +31,20 @@ test suite; `finite_difference_check` implements the probe.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvariantError
 
+_stamps = itertools.count()
+
 
 class Tensor:
     """Node in a reverse-mode computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_stamp")
 
     def __init__(
         self,
@@ -53,6 +58,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
+        self._stamp = next(_stamps)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,14 +80,8 @@ class Tensor:
 
     # -- operator sugar -------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, _lift(other))
-
     def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
+        return sub(self, other)
 
     def __pow__(self, exponent):
         return pow_const(self, float(exponent))
@@ -90,49 +90,18 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 # -- elementwise ---------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-
-    def backprop(g: np.ndarray) -> None:
-        a.accumulate(_unbroadcast(g, a.data.shape))
-        b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backprop)
-
-
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    """a - b for tensors of equal shape."""
+    if a.data.shape != b.data.shape:
+        raise InvariantError(f"sub needs equal shapes, got {a.data.shape} and {b.data.shape}")
     out_data = a.data - b.data
 
     def backprop(g: np.ndarray) -> None:
-        a.accumulate(_unbroadcast(g, a.data.shape))
-        b.accumulate(_unbroadcast(-g, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backprop)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backprop(g: np.ndarray) -> None:
-        a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+        a.accumulate(g)
+        b.accumulate(-g)
 
     return Tensor(out_data, _parents=(a, b), _backward=backprop)
 
@@ -144,22 +113,6 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
         a.accumulate(g * exponent * a.data ** (exponent - 1.0))
 
     return Tensor(out_data, _parents=(a,), _backward=backprop)
-
-
-# -- linear algebra -------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy's stacked-batch semantics."""
-    out_data = a.data @ b.data
-
-    def backprop(g: np.ndarray) -> None:
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        a.accumulate(_unbroadcast(ga, a.data.shape))
-        b.accumulate(_unbroadcast(gb, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backprop)
 
 
 # -- reductions ------------------------------------------------------------
@@ -178,42 +131,21 @@ def mean(a: Tensor) -> Tensor:
 # -- backward sweep --------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Topological order of the graph under `root`; raises on cycles."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    state: dict[int, int] = {}
-    order: list[Tensor] = []
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        nid = id(node)
-        if processed:
-            state[nid] = BLACK
-            order.append(node)
-            continue
-        color = state.get(nid, WHITE)
-        if color == BLACK:
-            continue
-        if color == GRAY:
-            raise InvariantError("cycle detected in computation graph")
-        state[nid] = GRAY
-        stack.append((node, True))
-        for parent in node._parents:
-            pcolor = state.get(id(parent), WHITE)
-            if pcolor == GRAY:
-                raise InvariantError("cycle detected in computation graph")
-            if pcolor == WHITE:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss: Tensor) -> None:
-    """Fill gradient slots of every node reachable from a scalar loss."""
+    """Fill gradient slots of every node reachable from a scalar loss.
+
+    Each node's backward runs after those of all nodes built from it, because
+    it runs in order of creation, newest first."""
     if loss.data.shape != ():
         raise InvariantError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    order = _topo_order(loss)
+    reached, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in reached:
+                reached[id(parent)] = parent
+                stack.append(parent)
     loss.grad = np.ones(())
-    for node in reversed(order):
+    for node in sorted(reached.values(), key=lambda n: n._stamp, reverse=True):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 

@@ -53,6 +53,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _check_artifact_dirs(config: RunConfig, out_dir: Path) -> None:
+    """Every `paths.*` artifact's directory is `out_dir`, which `run` creates,
+    or exists, so that no stage does its work only to fail at the write."""
+    for key, name in vars(config.paths).items():
+        directory = (out_dir / name).parent
+        if key != "boundaries" and directory != out_dir and not directory.is_dir():
+            raise InputError(f"paths.{key}: directory {directory} does not exist")
+
+
 def _boundary_table(config: RunConfig) -> TermBoundaryTable:
     if config.paths.boundaries:
         return pipeline.load_boundaries(config.paths.boundaries)
@@ -409,13 +418,13 @@ def run(argv: list[str] | None = None) -> int:
     config = load_config(args.config, args.set)
     if args.seed is not None:
         config.seed = args.seed
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.command == "evaluate":
         cmd_evaluate(Path(args.pred), Path(args.truth))
         return 0
 
+    out_dir = Path(args.out)
+    _check_artifact_dirs(config, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config, out_dir)
     if args.command == "run-all":
         for name in RUN_ALL_ORDER:

@@ -16,7 +16,8 @@ one-elite survivor selection drive the search.
 Each generation is bred as whole-array expressions from five population-wide
 draws, always in this order: tournament contenders [2 * pairs, tournament]
 with pairs = ceil(pop / 2), crossover decisions [pairs], blend weights
-[pairs, 2N], mutation mask [pop, 2N] and mutation noise [pop, 2N].
+[pairs, 2N], mutation mask [pop, 2N] and one standard normal per mutated gene,
+in row-major order.
 """
 
 from __future__ import annotations
@@ -129,11 +130,13 @@ def gaussian_mutate(population: np.ndarray, problem: PlanProblem, cfg: GaConfig,
                     rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Add zero-mean Gaussian noise to randomly selected genes of a [P, 2N]
     population (or one [2N] chromosome); sigma is `scale * sigma_fraction * box
-    width` per gene.  Draws the whole mask, then the whole noise."""
-    c = np.asarray(population, dtype=np.float64)
+    width` per gene.  Draws the whole mask, then one standard normal per
+    selected gene, in row-major order."""
+    c = np.array(population, dtype=np.float64)
     mask = rng.random(c.shape) < cfg.mutation_prob
-    noise = rng.normal(0.0, 1.0, size=c.shape) * (scale * cfg.sigma_fraction * problem.width)
-    return np.where(mask, c + noise, c)
+    sigma = np.broadcast_to(scale * cfg.sigma_fraction * problem.width, c.shape)
+    c[mask] += rng.standard_normal(np.count_nonzero(mask)) * sigma[mask]
+    return c
 
 
 def crossover(parents_a: np.ndarray, parents_b: np.ndarray,
@@ -211,7 +214,8 @@ def breed(pop: np.ndarray, fits: np.ndarray, problem: PlanProblem, config: GaCon
 
     Pair i's parents are tournament winners 2i and 2i+1; its children are rows
     2i and 2i+1 (the last pair's second child is dropped for an odd P).  Draws
-    the five blocks in the order the module docstring gives.
+    the five blocks in the order the module docstring gives; the last holds as
+    many normals as the mask selects genes.
     """
     size = len(pop)
     pairs = -(-size // 2)
@@ -232,8 +236,8 @@ def evolve(problem: PlanProblem, config: GaConfig | None = None,
 
     The generator is seeded with `seed`.  It draws the [pop, 2N] initial
     population, then per generation: tournament contenders, crossover
-    decisions, blend weights, mutation mask and mutation noise, each as one
-    population-wide block."""
+    decisions, blend weights, mutation mask and the normals of the mutated
+    genes, each as one block."""
     if np.all(problem.upper <= 0.0):
         raise InputError("no feasible plan")
     config = config if config is not None else GaConfig()

@@ -12,17 +12,19 @@ both branches, scores every row against the most recent cost feature with a
 raw dot product, softmax-normalizes the scores, and returns the weighted sum.
 
 On the graph, which is shaped [batch, time, channels], each residual block
-(conv, bias, ReLU and the identity or projection skip) is one `Tensor` node and
-the attention fusion is another, each with a hand-written backward.  The
-plain-array wrappers `causal_conv` / `dilated_conv` / `attention_fuse` call the
-same two forward helpers, so they compute exactly what training runs.  The
-backward passes keep the numpy expressions of the op-by-op chain rule (the
-batched matmuls summed over the batch afterwards, the max-shifted softmax, the
-[B, L, 1] and [B, 1, L] products), and every gradient slot receives at most two
-terms.  IEEE addition of two terms does not depend on their order, so the fused
-nodes give the same bits as the same model written with elementary ops.  A
-residual block whose input needs no gradient (a raw data tensor, see
-`autodiff`) computes only its kernel, bias and projection gradients.
+(conv, bias, ReLU and the identity or projection skip) is one `Tensor` node,
+the attention fusion is another and the dense head (x @ W + b on [B, F]) a
+third, each with a hand-written backward.  The plain-array wrappers
+`causal_conv` / `dilated_conv` / `attention_fuse` / `dense` call the same
+forward code, so they compute exactly what training runs.  The backward passes
+keep the numpy expressions of the op-by-op chain rule (the batched matmuls
+summed over the batch afterwards, the max-shifted softmax, the [B, L, 1] and
+[B, 1, L] products, the head's `g @ W.T`, `x.T @ g` and `g.sum(axis=0)`), and
+every gradient slot receives at most two terms.  IEEE addition of two terms
+does not depend on their order, so the fused nodes give the same bits as the
+same model written with elementary ops.  A residual block whose input needs no
+gradient (a raw data tensor, see `autodiff`) computes only its kernel, bias and
+projection gradients.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InputError
 
@@ -99,7 +100,16 @@ class DenseLayer:
         return cls(weights, bias)
 
     def apply(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.weights), self.bias)
+        """x @ W + b on [B, F] as one graph node."""
+        weights, bias = self.weights, self.bias
+
+        def backprop(g: np.ndarray) -> None:
+            x.accumulate(g @ weights.data.T)
+            weights.accumulate(x.data.T @ g)
+            bias.accumulate(g.sum(axis=0))
+
+        return Tensor(x.data @ weights.data + bias.data, _parents=(x, weights, bias),
+                      _backward=backprop)
 
 
 @dataclass

@@ -126,9 +126,10 @@ def generation_reference(pop, fits, low, high, crossover_rate: float, prob: floa
 
     Pair i's parents win tournaments 2i and 2i+1 (the first fittest contender of
     each row of `contenders`); it blends when crossover_draws[i] < crossover_rate,
-    with weights blend[i].  Child k keeps gene g mutated by
-    normals[k, g] * sigma[g] when mask_draws[k, g] < prob, then each gene is
-    clamped into [low, high].
+    with weights blend[i].  Child k has gene g mutated when
+    mask_draws[k, g] < prob, by the next unused entry of the flat `normals`
+    times sigma[g], child by child and gene by gene; then each gene is clamped
+    into [low, high].
     """
     size = len(pop)
 
@@ -148,12 +149,14 @@ def generation_reference(pop, fits, low, high, crossover_rate: float, prob: floa
             a, b = u * a + (1.0 - u) * b, (1.0 - u) * a + u * b
         offspring.extend([a, b])
     children = []
+    unused = iter(normals)
     for k, c in enumerate(offspring[:size]):
         c = c.copy()
-        mask = mask_draws[k] < prob
-        noise = normals[k] * sigma
-        c[mask] += noise[mask]
+        for g in range(len(c)):
+            if mask_draws[k][g] < prob:
+                c[g] += next(unused) * sigma[g]
         children.append([min(max(float(c[g]), low[g]), high[g]) for g in range(len(c))])
+    assert next(unused, None) is None, "more normals than mutated genes"
     return np.array(children, dtype=np.float64)
 
 
@@ -212,3 +215,33 @@ def adam_reference(params, grads_per_step, lr: float, beta1: float = 0.9,
             data[i] = data[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
         history.append([d.copy() for d in data])
     return history
+
+
+def topo_order_reference(root) -> list:
+    """Topological order of the autodiff graph under `root`, leaves first, by
+    an iterative three-colour depth-first search; raises on a cycle."""
+    white, gray, black = 0, 1, 2
+    state: dict[int, int] = {}
+    order: list = []
+    stack: list[tuple[object, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        nid = id(node)
+        if processed:
+            state[nid] = black
+            order.append(node)
+            continue
+        color = state.get(nid, white)
+        if color == black:
+            continue
+        if color == gray:
+            raise ValueError("cycle detected in computation graph")
+        state[nid] = gray
+        stack.append((node, True))
+        for parent in node._parents:
+            pcolor = state.get(id(parent), white)
+            if pcolor == gray:
+                raise ValueError("cycle detected in computation graph")
+            if pcolor == white:
+                stack.append((parent, False))
+    return order

@@ -791,6 +791,31 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr
         assert len(read_rows(out / "plan.csv")) == 6  # topsis.top_k=6 of its 12 products
 
+    @pytest.mark.parametrize("key", [key for key, _ in RunConfig().flat_items()
+                                     if key.startswith("paths.") and key != "paths.boundaries"])
+    def test_artifact_in_missing_directory_exits_1_before_any_stage(
+            self, tmp_path, monkeypatch, capsys, caplog, key):
+        settings = [f for setting in (*SMALL_RUN, f"{key}=nodir/artifact.csv")
+                    for f in ("--set", setting)]
+        assert exit_code(monkeypatch, ["--out", str(tmp_path), *settings, "run-all"]) == 1
+        assert f"{key}: directory" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not (tmp_path / "costs.csv").exists()
+        assert exit_code(monkeypatch, ["--out", str(tmp_path / "new"), *settings, "synth"]) == 1
+        assert not (tmp_path / "new").exists()
+
+    def test_cli_import_leaves_pool_and_statistics_modules_out(self):
+        """Only the stages that need them import these, so that no stage
+        process pays for them at start-up."""
+        lazy = ["multiprocessing", "concurrent.futures", "statistics"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (f"import sys, freshplan.cli; "
+                 f"print([m for m in {lazy!r} if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_missing_input_is_input_error(self, tmp_path):
         with pytest.raises(InputError):
             cli.run(["--out", str(tmp_path), "forecast"])

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import topo_order_reference
 
 from freshplan import autodiff as ad, forecaster, pipeline
 from freshplan.errors import InputError
@@ -208,12 +209,12 @@ def test_loss_graph_size_does_not_depend_on_kernel_size():
         history = ad.Tensor(np.zeros((8, 15, 1)))
         terms = ad.Tensor(np.zeros((8, 7, forecaster.TERM_WIDTH)))
         loss = ad.mean((model.forward(history, terms) - ad.Tensor(np.zeros((8, 7)))) ** 2)
-        return len(ad._topo_order(loss)), len(model.params().tensors())
+        return len(topo_order_reference(loss)), len(model.params().tensors())
 
     for dilations in ([1], [1, 2]):
         nodes, params = loss_nodes(3, dilations)
         assert loss_nodes(5, dilations) == (nodes, params)
-        # One node per residual block in each branch, one attention node, the
-        # dense head (matmul, add), the loss (sub, pow, mean) and the leaves:
-        # parameters plus history, terms and target.
-        assert nodes == 2 * len(dilations) + 1 + 2 + 3 + params + 3
+        # One node per residual block in each branch, one attention node, one
+        # dense head node, the loss (sub, pow, mean) and the leaves: parameters
+        # plus history, terms and target.
+        assert nodes == 2 * len(dilations) + 1 + 1 + 3 + params + 3

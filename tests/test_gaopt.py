@@ -357,11 +357,14 @@ def test_generation_matches_child_by_child_reference(products, pop_size, tournam
 
     twin = copy.deepcopy(rng)
     pairs, genes = (pop_size + 1) // 2, problem.low.size
+    contenders = twin.integers(0, pop_size, (2 * pairs, tournament))
+    crossover_draws = twin.random(pairs)
+    blend = twin.uniform(-0.5, 1.5, (pairs, genes))
+    mask_draws = twin.random((pop_size, genes))
+    normals = twin.standard_normal(np.count_nonzero(mask_draws < prob))
     expected = generation_reference(
         pop, fits, problem.low, problem.high, rate, prob, scale * 0.2 * problem.width,
-        twin.integers(0, pop_size, (2 * pairs, tournament)), twin.random(pairs),
-        twin.uniform(-0.5, 1.5, (pairs, genes)), twin.random((pop_size, genes)),
-        twin.normal(0.0, 1.0, (pop_size, genes)))
+        contenders, crossover_draws, blend, mask_draws, normals)
 
     children = breed(pop, fits, problem, config, rng, scale)
     assert children.tobytes() == expected.tobytes()
@@ -415,23 +418,23 @@ def pinned_instance() -> list[ProductContext]:
 
 
 def test_evolve_bits_are_pinned():
-    """evolve's result on the pinned instance, as float.hex, recorded before the
-    per-product arrays moved into PlanProblem; any change to the arithmetic or
-    the random stream shows here."""
+    """evolve's result on the pinned instance, as float.hex, recorded when
+    mutation began to draw one normal per mutated gene; any change to the
+    arithmetic or the random stream shows here."""
     result = evolve(PlanProblem(pinned_instance()), GaConfig(pop=16, gens=6), seed=7)
     assert [float(v).hex() for v in result.best] == [
-        "0x1.3db6cc0b506bep+2", "0x1.144f242314593p+5", "0x1.df0646ec176ebp+2",
-        "0x1.14c4e9739b9f2p+4", "0x1.4000000000000p+3", "0x1.c000000000000p+4",
-        "0x1.0c6f7a0b5ed8dp-20", "0x1.4ef0cc11487edp+5"]
-    assert result.best_fitness.hex() == "0x1.693635f21c498p+8"
+        "0x1.73fc1ad1cbf38p+2", "0x1.7208a241141c3p+4", "0x1.e000000000000p+2",
+        "0x1.4000000000000p+4", "0x1.4000000000000p+3", "0x1.c000000000000p+4",
+        "0x1.0c6f7a0b5ed8dp-20", "0x1.59085c44cbe8ep+5"]
+    assert result.best_fitness.hex() == "0x1.8291ad47b5a9ep+8"
     assert [(s.max_fitness.hex(), s.min_fitness.hex(), s.avg_fitness.hex())
             for s in result.trace] == [
-        ("0x1.51c02cc7ebb59p+8", "0x1.83366ac54024ep+7", "0x1.f8b19747ee471p+7"),
-        ("0x1.51c02cc7ebb59p+8", "0x1.c9ee3a46720d0p+7", "0x1.1da27fb868bbfp+8"),
-        ("0x1.54977c02a58f3p+8", "0x1.1141e7c045b32p+8", "0x1.327416dff30e2p+8"),
-        ("0x1.5c30e9b22cce3p+8", "0x1.3123819693fabp+8", "0x1.4591eb1d3c23dp+8"),
-        ("0x1.5cb9be4bdf40dp+8", "0x1.444fcb6aa77aep+8", "0x1.51ac787da41bep+8"),
-        ("0x1.693635f21c498p+8", "0x1.3d10c48608c38p+8", "0x1.568380bd07fa8p+8")]
+        ("0x1.51c02cc7ebb59p+8", "0x1.84fc33a0ae28cp+7", "0x1.f6e9e7b2c7c02p+7"),
+        ("0x1.53d378bf88749p+8", "0x1.b3e58babc56f7p+7", "0x1.1db5e410678a7p+8"),
+        ("0x1.54e85b3ad642cp+8", "0x1.2298bfe9cf211p+8", "0x1.413cbe7ba061ep+8"),
+        ("0x1.6b44131123611p+8", "0x1.4e0315435e5cep+8", "0x1.5754097e57f6ap+8"),
+        ("0x1.6b44131123611p+8", "0x1.4a8b5540ac9b4p+8", "0x1.5ed8e2f2ebe05p+8"),
+        ("0x1.8291ad47b5a9ep+8", "0x1.52c2f3c1fae55p+8", "0x1.692b5798e77fep+8")]
 
 
 def test_each_box_is_the_products_own():

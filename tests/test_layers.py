@@ -191,6 +191,20 @@ def test_attention_node_gradients_match_fd():
             assert ad.finite_difference_check(loss_fn, [x1, x2]) < 1e-6
 
 
+def test_dense_node_gradients_match_fd():
+    rng = np.random.default_rng(12)
+    for batch in (1, 3):
+        head = DenseLayer.create(rng, 4, 7)
+        head.bias.data = rng.normal(size=7)
+        x = Tensor(rng.normal(size=(batch, 4)), requires_grad=True)
+        target = Tensor(rng.normal(size=(batch, 7)))
+
+        def loss_fn():
+            return ad.mean((head.apply(x) - target) ** 2)
+
+        assert ad.finite_difference_check(loss_fn, [x, head.weights, head.bias]) < 1e-6
+
+
 def test_block_skips_only_the_gradient_of_an_input_that_needs_none():
     rng = np.random.default_rng(11)
     for c_in, c_out in ((3, 3), (2, 3)):
