@@ -20,10 +20,11 @@ gradient for an operand that needs none.
 `Adam` updates the parameters of a `ParamSet` as one float64 vector: it
 rebinds every parameter's `data` to a view into that vector, copies the
 `.grad` slots into a matching gradient vector, and applies each of its five
-update expressions once to the whole vector.  Elementwise IEEE arithmetic does
-not depend on how the elements are grouped, so this gives the same bits as
-updating tensor by tensor.  A parameter whose grad is None keeps its value and
-its moments.
+update expressions once to the whole vector, in place on its moment vectors
+and with the same operations in the same order as the textbook expressions.
+Elementwise IEEE arithmetic does not depend on how the elements are grouped,
+so this gives the same bits as updating tensor by tensor.  A parameter whose
+grad is None keeps its value and its moments.
 
 Gradient correctness is validated against central finite differences in the
 test suite; `finite_difference_check` implements the probe.
@@ -198,25 +199,31 @@ class Adam:
         self._m = np.zeros_like(self._flat)
         self._v = np.zeros_like(self._flat)
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self) -> None:
         self.t += 1
-        g = self._grad
-        missing = []
+        g, m, v = self._grad, self._m, self._v
+        kept = []
         for tensor, part in self._parts:
             if tensor.grad is None:
-                missing.append(part)
+                kept.append((part, m[part].copy(), v[part].copy()))
             else:
                 g[part] = tensor.grad.reshape(-1)
-        m = self.beta1 * self._m + (1.0 - self.beta1) * g
-        v = self.beta2 * self._v + (1.0 - self.beta2) * g * g
-        m_hat = m / (1.0 - self.beta1 ** self.t)
-        v_hat = v / (1.0 - self.beta2 ** self.t)
-        update = lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        # Undo the update where the gradient is missing; x - 0.0 is x.
-        for part in missing:
-            m[part], v[part], update[part] = self._m[part], self._v[part], 0.0
-        self._m, self._v = m, v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        g_sq = (1.0 - self.beta2) * g
+        g_sq *= g
+        v += g_sq
+        update = m / (1.0 - self.beta1 ** self.t)
+        update *= self.lr
+        denom = v / (1.0 - self.beta2 ** self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        # Where the gradient is missing, put the moments back and subtract
+        # 0.0, which leaves the value as it is.
+        for part, m_part, v_part in kept:
+            m[part], v[part], update[part] = m_part, v_part, 0.0
         self._flat -= update
         self.params.zero_grads()
 

@@ -149,6 +149,13 @@ def _usable_frames(frames: dict[str, pipeline.SeriesFrame], need: int,
     return usable, len(frames) - len(usable)
 
 
+def _training_totals(reports: list[forecaster.TrainReport]) -> dict:
+    """Manifest fields of a training stage: seconds spent in `forecaster.train`
+    (in the workers, when pooled) and Adam updates, summed over its tasks."""
+    return {"train_s": round(sum(r.train_s for r in reports), 3),
+            "steps": sum(r.steps for r in reports)}
+
+
 def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     started = manifest.start_stage("forecast")
     table = _boundary_table(config)
@@ -166,12 +173,12 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
     with _task_map(len(tasks)) as (task_map, jobs):
         results = list(task_map(forecaster.fit_and_forecast, tasks))
     rows, curve_rows = [], []
-    for frame, (predicted, loss_curve) in zip(usable, results):
+    for frame, (predicted, report) in zip(usable, results):
         pid, first_day = frame.product_id, frame.dates[-1] + dt.timedelta(days=1)
         for i, value in enumerate(predicted):
             day = first_day + dt.timedelta(days=i)
             rows.append([pid, day.isoformat(), _fmt(value)])
-        for epoch, loss in enumerate(loss_curve):
+        for epoch, loss in enumerate(report.loss_curve):
             curve_rows.append([pid, str(epoch), _fmt(loss)])
 
     forecast_path = out_dir / config.paths.forecast
@@ -179,7 +186,8 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
     curves_path = out_dir / "loss_curves.csv"
     _write_csv(curves_path, ["product_id", "epoch", "loss"], curve_rows)
     manifest.end_stage("forecast", started, [str(forecast_path), str(curves_path)],
-                       skipped=skipped, forecast_rows=len(rows), jobs=jobs)
+                       skipped=skipped, forecast_rows=len(rows), jobs=jobs,
+                       **_training_totals([report for _, report in results]))
     log.info("forecast: %d rows, %d products skipped", len(rows), skipped)
 
 
@@ -198,7 +206,8 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
         frame, config.bootstrap, model, derive_seed(config.seed, "intervals", frame.product_id),
         table, config.window.input_days))
     with _task_map(len(usable) * config.bootstrap.replicas) as (task_map, jobs):
-        weeks = [week for week, _ in task_map(forecaster.fit_and_forecast, tasks)]
+        results = list(task_map(forecaster.fit_and_forecast, tasks))
+    weeks = [week for week, _ in results]
     level = config.bootstrap.level
     z = intervals_mod.z_for_level(level)
     rows, daily_rows = [], []
@@ -217,7 +226,8 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
     daily_path = out_dir / config.paths.intervals_daily
     _write_csv(daily_path, INTERVALS_DAILY_HEADER, daily_rows)
     manifest.end_stage("intervals", started, [str(intervals_path), str(daily_path)],
-                       skipped=skipped, jobs=jobs)
+                       skipped=skipped, jobs=jobs,
+                       **_training_totals([report for _, report in results]))
     log.info("intervals: %d products, %d skipped", len(rows), skipped)
 
 

@@ -11,6 +11,7 @@ on a `FitTask`: numbers out, no model.
 from __future__ import annotations
 
 import datetime as dt
+import time
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -123,6 +124,8 @@ class ForecasterModel:
 class TrainReport:
     final_loss: float
     loss_curve: list[float]
+    train_s: float  # wall seconds in `train`
+    steps: int  # Adam updates
 
 
 def train(model: ForecasterModel, windows: Windows, epochs: int, lr: float, seed: int = 0,
@@ -131,37 +134,38 @@ def train(model: ForecasterModel, windows: Windows, epochs: int, lr: float, seed
 
     A `batch_size` of 0 or of at least the window count is full batch (each
     epoch is one update on the mean loss over all windows); any other size
-    gives deterministic shuffled mini-batches."""
+    gives deterministic shuffled mini-batches, sliced from one copy of the
+    windows gathered in each epoch's shuffled order."""
     if not windows:
         raise InputError("empty samples")
-    histories, terms, targets = windows.histories, windows.terms, windows.targets
+    started = time.perf_counter()
     n = len(windows)
+    histories, terms, targets = windows.histories[:, :, None], windows.terms, windows.targets
+    size = batch_size if 0 < batch_size < n else n
     params = model.params()
     optimizer = Adam(params, lr=lr)
     rng = np.random.default_rng(seed)
 
     loss_curve: list[float] = []
     for _ in range(epochs):
-        if not 0 < batch_size < n:
-            batches = [slice(None)]
-        else:
+        if size < n:
             order = rng.permutation(n)
-            batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
+            epoch_h, epoch_t, epoch_y = histories[order], terms[order], targets[order]
+        else:
+            epoch_h, epoch_t, epoch_y = histories, terms, targets
         epoch_loss = 0.0
-        for batch in batches:
-            h = Tensor(histories[batch][:, :, None])
-            t = Tensor(terms[batch])
-            y = Tensor(targets[batch])
+        for i in range(0, n, size):
+            h, t, y = (Tensor(a[i:i + size]) for a in (epoch_h, epoch_t, epoch_y))
             loss = ad.mean((model.forward(h, t) - y) ** 2)
             ad.backward(loss)
             optimizer.step()
-            count = n if isinstance(batch, slice) else len(batch)
-            epoch_loss += float(loss.data) * count
+            epoch_loss += float(loss.data) * len(y.data)
         loss_curve.append(epoch_loss / n)
         if not np.isfinite(loss_curve[-1]):
             raise InvariantError(f"{model.product_id}: training loss diverged")
     return TrainReport(final_loss=loss_curve[-1] if loss_curve else float("nan"),
-                       loss_curve=loss_curve)
+                       loss_curve=loss_curve, train_s=time.perf_counter() - started,
+                       steps=optimizer.t)
 
 
 def predict(model: ForecasterModel, history, future_terms,
@@ -214,10 +218,10 @@ def fit(task: FitTask) -> tuple[ForecasterModel, TrainReport]:
     return model, report
 
 
-def fit_and_forecast(task: FitTask) -> tuple[np.ndarray, list[float]]:
-    """`fit` the task, then its week's 7 raw forecasts and the loss curve."""
+def fit_and_forecast(task: FitTask) -> tuple[np.ndarray, TrainReport]:
+    """`fit` the task, then its week's 7 raw forecasts and the training report."""
     model, report = fit(task)
-    return predict(model, task.history, task.terms, len(task.history)), report.loss_curve
+    return predict(model, task.history, task.terms, len(task.history)), report
 
 
 @dataclass

@@ -16,15 +16,29 @@ On the graph, which is shaped [batch, time, channels], each residual block
 the attention fusion is another and the dense head (x @ W + b on [B, F]) a
 third, each with a hand-written backward.  The plain-array wrappers
 `causal_conv` / `dilated_conv` / `attention_fuse` / `dense` call the same
-forward code, so they compute exactly what training runs.  The backward passes
-keep the numpy expressions of the op-by-op chain rule (the batched matmuls
-summed over the batch afterwards, the max-shifted softmax, the [B, L, 1] and
-[B, 1, L] products, the head's `g @ W.T`, `x.T @ g` and `g.sum(axis=0)`), and
-every gradient slot receives at most two terms.  IEEE addition of two terms
-does not depend on their order, so the fused nodes give the same bits as the
-same model written with elementary ops.  A residual block whose input needs no
-gradient (a raw data tensor, see `autodiff`) computes only its kernel, bias and
-projection gradients.
+forward code, so they compute exactly what training runs.  A residual block
+whose input needs no gradient (a raw data tensor, see `autodiff`) computes only
+its kernel, bias and projection gradients.
+
+The nodes keep numpy on its fast paths for the small shapes of training (batch
+64, 7 to 22 rows, 1 to 48 columns).  A block runs its conv, its projection and
+the input gradient's tap products as 2-D matmuls over the [B*T, .] rows, takes
+the ReLU with `np.maximum` and keeps a boolean mask for its derivative.  The
+attention backward forms its two outer products with `einsum` and its two
+dot-product gradients as `keys @ g` and `g_sim @ keys`, and adds the query's
+gradient into the last cost row in place.  Each of those gives every output
+element the bits of the batched per-sample form it replaced: an outer product
+is one multiplication per element, and a flat matmul computes the same dot
+products, which OpenBLAS (numpy's bundled BLAS) rounds alike at these shapes.
+So forward values and input gradients keep their bits; `tests/test_layers.py`
+checks them against that form in `tests/oracles.py`.  Two sums changed their
+rounding order: the kernel gradient and the projection gradient, each a sum
+over batch and time, are now one matmul over the B*T rows where they were
+per-sample matmuls summed over the batch afterwards; they agree with the old
+form to about 1e-15 relative.  The bias gradient stays a sum over the batch,
+then over time.  Every gradient slot receives at most two terms, and IEEE
+addition of two terms does not depend on their order, so the order in which
+nodes deliver gradients cannot change a bit.
 """
 
 from __future__ import annotations
@@ -83,7 +97,9 @@ def conv_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     stacked = np.zeros(x.shape[:-1] + (k * c_in,))
     for r, s in _live_taps(k, dilation, t):
         stacked[..., s:, r * c_in:(r + 1) * c_in] = x[..., :t - s, :]
-    return stacked, stacked @ kernel.reshape(k * c_in, c_out) + bias
+    y = stacked.reshape(-1, k * c_in) @ kernel.reshape(k * c_in, c_out)
+    y += bias
+    return stacked, y.reshape(x.shape[:-1] + (c_out,))
 
 
 @dataclass
@@ -135,25 +151,31 @@ class ResidualBlock:
         t = x.data.shape[-2]
         stacked, pre = conv_forward(x.data, kernel.data, bias.data, self.conv.dilation)
         mask = pre > 0.0
-        skip = x.data if projection is None else x.data @ projection.data
+        out = np.maximum(pre, 0.0, out=pre)
+        if projection is None:
+            out += x.data
+        else:
+            out += (x.data.reshape(-1, c_in) @ projection.data).reshape(out.shape)
 
         def backprop(g: np.ndarray) -> None:
             g_pre = g * mask
+            g_flat = g_pre.reshape(-1, c_out)
             bias.accumulate(g_pre.sum(axis=0).sum(axis=0))
-            kernel.accumulate((np.swapaxes(stacked, -1, -2) @ g_pre).sum(axis=0)
+            kernel.accumulate((stacked.reshape(-1, k * c_in).T @ g_flat)
                               .reshape(kernel.data.shape))
             if projection is not None:
-                projection.accumulate((np.swapaxes(x.data, -1, -2) @ g).sum(axis=0))
+                projection.accumulate(x.data.reshape(-1, c_in).T @ g.reshape(-1, c_out))
             if not x.needs_grad:
                 return
-            g_stacked = g_pre @ kernel.data.reshape(k * c_in, c_out).T
+            g_stacked = (g_flat @ kernel.data.reshape(k * c_in, c_out).T).reshape(stacked.shape)
             g_x = np.zeros_like(x.data)
             for r, s in _live_taps(k, self.conv.dilation, t):
                 g_x[..., :t - s, :] += g_stacked[..., s:, r * c_in:(r + 1) * c_in]
-            x.accumulate(g_x + (g if projection is None else g @ projection.data.T))
+            g_x += g if projection is None else g @ projection.data.T
+            x.accumulate(g_x)
 
         parents = (x, kernel, bias) if projection is None else (x, kernel, bias, projection)
-        return Tensor(np.where(mask, pre, 0.0) + skip, _parents=parents, _backward=backprop)
+        return Tensor(out, _parents=parents, _backward=backprop)
 
 
 @dataclass
@@ -217,15 +239,13 @@ def attention_fuse_graph(x1: Tensor, x2: Tensor) -> Tensor:
     t1 = x1.data.shape[-2]
 
     def backprop(g: np.ndarray) -> None:
-        g_fused = g.reshape(b, 1, f)
-        keys_t = np.swapaxes(keys, -1, -2)
-        g_alpha = (g_fused @ keys_t).reshape(b, l)
-        g_sim = (alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))).reshape(b, l, 1)
-        g_keys = alpha.reshape(b, l, 1) @ g_fused + g_sim @ query.reshape(b, 1, f)
-        g_last = np.zeros_like(x1.data)
-        g_last[..., -1, :] = (keys_t @ g_sim).reshape(b, f)
-        x1.accumulate(g_keys[..., :t1, :] + g_last)
-        x2.accumulate(g_keys[..., t1:, :])
+        g_alpha = (keys @ g.reshape(b, f, 1)).reshape(b, l)
+        g_sim = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
+        g_keys = np.einsum("bl,bf->blf", alpha, g)
+        g_keys += np.einsum("bl,bf->blf", g_sim, query)
+        g_keys[:, t1 - 1, :] += (g_sim.reshape(b, 1, l) @ keys).reshape(b, f)
+        x1.accumulate(g_keys[:, :t1, :])
+        x2.accumulate(g_keys[:, t1:, :])
 
     return Tensor(fused, _parents=(x1, x2), _backward=backprop)
 

@@ -1,7 +1,10 @@
-"""Independent brute-force reference implementations used by the test suite.
+"""Independent reference implementations used by the test suite.
 
-Everything here is deliberately written with plain Python loops, separate from
-the vectorized library code it checks.
+Most are brute force, deliberately written with plain Python loops, separate
+from the vectorized library code they check.  Where a test pins the bits of a
+rewrite, the reference is the earlier vectorized form of the same arithmetic
+(`adam_reference`, `topo_order_reference`, `residual_block_reference`,
+`attention_reference`).
 """
 
 import datetime as dt
@@ -245,3 +248,60 @@ def topo_order_reference(root) -> list:
             if pcolor == white:
                 stack.append((parent, False))
     return order
+
+
+def residual_block_reference(x, kernel, bias, projection, dilation: int, g):
+    """A residual block's forward and gradients in the batched form of the
+    `layers` code they replaced: per-sample matmuls over `[B, T, .]` summed
+    over the batch afterwards, `np.where` for the ReLU and a boolean mask.
+
+    Returns the block output for input x [B, T, C_in] and the gradients of
+    `sum(output * g)` as a dict over "x", "kernel", "bias" and, when
+    `projection` is not None, "projection"."""
+    k, c_in, c_out = kernel.shape
+    t = x.shape[-2]
+    taps = [(r, r * dilation) for r in range(k) if r * dilation < t]
+    stacked = np.zeros(x.shape[:-1] + (k * c_in,))
+    for r, s in taps:
+        stacked[..., s:, r * c_in:(r + 1) * c_in] = x[..., :t - s, :]
+    pre = stacked @ kernel.reshape(k * c_in, c_out) + bias
+    mask = pre > 0.0
+    skip = x if projection is None else x @ projection
+    out = np.where(mask, pre, 0.0) + skip
+
+    g_pre = g * mask
+    grads = {"bias": g_pre.sum(axis=0).sum(axis=0),
+             "kernel": (np.swapaxes(stacked, -1, -2) @ g_pre).sum(axis=0).reshape(kernel.shape)}
+    if projection is not None:
+        grads["projection"] = (np.swapaxes(x, -1, -2) @ g).sum(axis=0)
+    g_stacked = g_pre @ kernel.reshape(k * c_in, c_out).T
+    g_x = np.zeros_like(x)
+    for r, s in taps:
+        g_x[..., :t - s, :] += g_stacked[..., s:, r * c_in:(r + 1) * c_in]
+    grads["x"] = g_x + (g if projection is None else g @ projection.T)
+    return out, grads
+
+
+def attention_reference(x1, x2, g):
+    """The attention fusion's forward and backward in the batched form of the
+    `layers` code they replaced: the fused rows [B, F] of x1 [B, T1, F] and
+    x2 [B, T2, F], and the gradients of `sum(fused * g)` with respect to x1
+    and x2, with the outer products as [B, L, 1] @ [B, 1, F] matmuls and the
+    query's gradient scattered through a zero buffer."""
+    keys = np.concatenate([x1, x2], axis=-2)
+    query = x1[..., -1, :]
+    b, l, f = keys.shape
+    t1 = x1.shape[-2]
+    sim = (keys @ query.reshape(b, -1, 1)).reshape(b, l)
+    e = np.exp(sim - sim.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    fused = (alpha.reshape(b, 1, l) @ keys).reshape(b, f)
+
+    g_fused = g.reshape(b, 1, f)
+    keys_t = np.swapaxes(keys, -1, -2)
+    g_alpha = (g_fused @ keys_t).reshape(b, l)
+    g_sim = (alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))).reshape(b, l, 1)
+    g_keys = alpha.reshape(b, l, 1) @ g_fused + g_sim @ query.reshape(b, 1, f)
+    g_last = np.zeros_like(x1)
+    g_last[..., -1, :] = (keys_t @ g_sim).reshape(b, f)
+    return fused, g_keys[..., :t1, :] + g_last, g_keys[..., t1:, :]

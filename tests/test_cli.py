@@ -134,6 +134,13 @@ class TestStages:
         assert 0 <= last < cfg.ga.gens
         assert set(maxima[last:]) == {maxima[-1]}
         assert stages["optimize"]["evaluations_per_s"] > 0
+        # Training cost per stage: one Adam step per mini-batch of every epoch.
+        windows = cfg.synth.days - cfg.window.input_days - pipeline.HORIZON_DAYS + 1
+        batches = -(-windows // cfg.train.batch_size)
+        assert stages["forecast"]["steps"] == 6 * cfg.train.epochs * batches
+        assert stages["intervals"]["steps"] >= 6 * 2 * cfg.bootstrap.epochs
+        for stage in ("forecast", "intervals"):
+            assert 0 < stages[stage]["train_s"] <= stages[stage]["seconds"] * stages[stage]["jobs"]
         assert (out / "manifest.json").exists()
 
     def test_demand_csv_schema(self, full_run):

@@ -1,6 +1,10 @@
 import datetime as dt
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,13 @@ class TestTrain:
         curve_a = train(model_a, windows, epochs=5, lr=1e-3, seed=9, batch_size=4).loss_curve
         curve_b = train(model_b, windows, epochs=5, lr=1e-3, seed=9, batch_size=4).loss_curve
         assert curve_a == curve_b
+
+    def test_report_counts_adam_steps_and_seconds(self):
+        model, windows = toy_model(toy_frame())
+        report = train(model, windows, epochs=3, lr=1e-3, seed=0, batch_size=8)
+        assert report.steps == 3 * -(-len(windows) // 8)
+        assert report.train_s > 0
+        assert train(model, windows, epochs=2, lr=1e-3, seed=0).steps == 2
 
     def test_zero_epochs_is_noop(self):
         model, windows = toy_model(toy_frame())
@@ -218,3 +229,19 @@ def test_loss_graph_size_does_not_depend_on_kernel_size():
         # dense head node, the loss (sub, pow, mean) and the leaves: parameters
         # plus history, terms and target.
         assert nodes == 2 * len(dilations) + 1 + 1 + 3 + params + 3
+
+
+def test_step_timing_script_prints_every_shape_and_batch():
+    repo = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    proc = subprocess.run([sys.executable, str(repo / "scripts" / "step_timing.py"),
+                           "--repeats", "2"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["shape", "batch", "forward_us", "backward_us", "adam_us",
+                              "step_us"]
+    assert [row.split()[:2] for row in rows] == [
+        ["replica", "1"], ["replica", "64"], ["deploy", "1"], ["deploy", "64"]]
+    for row in rows:
+        assert all(float(value) > 0 for value in row.split()[2:])

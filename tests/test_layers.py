@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import conv_reference
+from oracles import attention_reference, conv_reference, residual_block_reference
 
 from freshplan import autodiff as ad, layers
 from freshplan.autodiff import Tensor
@@ -223,3 +223,64 @@ def test_block_skips_only_the_gradient_of_an_input_that_needs_none():
                 for p in params:
                     p.zero_grad()
             assert grads[True] == grads[False]
+
+
+# C_in 1 (the cost branch) and 10 (the term branch) always project; 16 -> 16 is
+# the identity skip of a deploy block after the first.  A kernel of 5 taps at
+# T = 3 reaches past the start of the sequence, so its last taps read only
+# padding.
+BLOCK_CASES = [(c_in, c_out, 3, dilation, t)
+               for c_in, c_out, t in ((1, 8, 15), (1, 16, 15), (10, 8, 7), (10, 16, 7),
+                                      (16, 16, 15))
+               for dilation in (1, 2)]
+BLOCK_CASES += [(1, 8, 5, 1, 3), (10, 16, 5, 2, 3), (16, 16, 5, 2, 3)]
+
+
+@pytest.mark.parametrize("c_in,c_out,kernel_size,dilation,t", BLOCK_CASES)
+@pytest.mark.parametrize("batch", [1, 64])
+def test_residual_block_matches_batched_reference(c_in, c_out, kernel_size, dilation, t, batch):
+    rng = np.random.default_rng([c_in, c_out, kernel_size, dilation, t, batch])
+    block = layers.ResidualBlock.create(rng, kernel_size, c_in, c_out, dilation)
+    block.conv.bias.data = rng.normal(size=c_out)
+    assert (block.projection is None) == (c_in == c_out)
+    x = Tensor(rng.normal(size=(batch, t, c_in)), requires_grad=True)
+    g = rng.normal(size=(batch, t, c_out))
+    projection = None if block.projection is None else block.projection.data
+    want_out, want = residual_block_reference(x.data, block.conv.kernel.data,
+                                              block.conv.bias.data, projection, dilation, g)
+
+    out = block.apply(x)
+    assert out.data.tobytes() == want_out.tobytes()
+    out._backward(g)
+    got = {"x": x.grad, "kernel": block.conv.kernel.grad, "bias": block.conv.bias.grad}
+    if projection is not None:
+        got["projection"] = block.projection.grad
+    assert got.keys() == want.keys()
+    for name, grad in got.items():
+        assert grad.shape == want[name].shape, name
+    # The same sums in the same order: the input's taps and skip, and the
+    # bias's sum over time of the sum over the batch.
+    for name in ("x", "bias"):
+        assert got[name].tobytes() == want[name].tobytes(), name
+    # Kernel and projection sums over batch and time now run as one flat GEMM,
+    # whose rounding order differs from per-sample products summed afterwards.
+    for name in set(got) - {"x", "bias"}:
+        scale = np.max(np.abs(want[name]))
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("t1,t2,f", [(15, 7, 8), (15, 7, 16), (1, 3, 4)])
+@pytest.mark.parametrize("batch", [1, 64])
+def test_attention_node_matches_batched_reference(t1, t2, f, batch):
+    rng = np.random.default_rng([t1, t2, f, batch])
+    x1 = Tensor(rng.normal(size=(batch, t1, f)), requires_grad=True)
+    x2 = Tensor(rng.normal(size=(batch, t2, f)), requires_grad=True)
+    g = rng.normal(size=(batch, f))
+    want_fused, want_g1, want_g2 = attention_reference(x1.data, x2.data, g)
+
+    node = layers.attention_fuse_graph(x1, x2)
+    assert node.data.tobytes() == want_fused.tobytes()
+    node._backward(g)
+    assert x1.grad.shape == want_g1.shape and x2.grad.shape == want_g2.shape
+    assert x1.grad.tobytes() == want_g1.tobytes()
+    assert x2.grad.tobytes() == want_g2.tobytes()
