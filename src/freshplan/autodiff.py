@@ -17,14 +17,14 @@ it reaches from newest to oldest.  A tensor needs a gradient when it is
 other tensor (raw inputs, targets), and a backward may skip computing a
 gradient for an operand that needs none.
 
-`Adam` updates the parameters of a `ParamSet` as one float64 vector: it
-rebinds every parameter's `data` to a view into that vector, copies the
-`.grad` slots into a matching gradient vector, and applies each of its five
-update expressions once to the whole vector, in place on its moment vectors
-and with the same operations in the same order as the textbook expressions.
-Elementwise IEEE arithmetic does not depend on how the elements are grouped,
-so this gives the same bits as updating tensor by tensor.  A parameter whose
-grad is None keeps its value and its moments.
+`Adam` updates a list of distinct parameter tensors as one float64 vector: it
+rebinds every parameter's `data` to a view into that vector, copies the `.grad`
+slots into a matching gradient vector, and applies each of its five update
+expressions once to the whole vector, in place on its moment vectors and with
+the same operations in the same order as the textbook expressions.  Elementwise
+IEEE arithmetic does not depend on how the elements are grouped, so this gives
+the same bits as updating tensor by tensor.  A parameter whose grad is None
+keeps its value and its moments.  Each step ends by clearing every grad.
 
 Gradient correctness is validated against central finite differences in the
 test suite; `finite_difference_check` implements the probe.
@@ -151,24 +151,7 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
 
 
-# -- parameters ------------------------------------------------------------
-
-
-class ParamSet:
-    """Named trainable tensors of one model."""
-
-    def __init__(self, named: Sequence[tuple[str, Tensor]]):
-        names = [name for name, _ in named]
-        if len(set(names)) != len(names):
-            raise InvariantError("duplicate parameter names")
-        self.named = list(named)
-
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named]
-
-    def zero_grads(self) -> None:
-        for _, t in self.named:
-            t.zero_grad()
+# -- optimizer -------------------------------------------------------------
 
 
 class Adam:
@@ -178,19 +161,19 @@ class Adam:
     optimizer; updates write that vector in place.
     """
 
-    def __init__(self, params: ParamSet, lr: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+        if len({id(t) for t in params}) != len(params):
+            raise InvariantError("a parameter is listed twice")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        tensors = params.tensors()
-        self._flat = np.concatenate([t.data.ravel() for t in tensors])
+        self._flat = np.concatenate([t.data.ravel() for t in params])
         self._parts: list[tuple[Tensor, slice]] = []
         start = 0
-        for t in tensors:
+        for t in params:
             part = slice(start, start + t.data.size)
             t.data = self._flat[part].reshape(t.data.shape)
             self._parts.append((t, part))
@@ -225,7 +208,8 @@ class Adam:
         for part, m_part, v_part in kept:
             m[part], v[part], update[part] = m_part, v_part, 0.0
         self._flat -= update
-        self.params.zero_grads()
+        for tensor, _ in self._parts:
+            tensor.zero_grad()
 
 
 # -- gradient verification ---------------------------------------------------

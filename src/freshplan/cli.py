@@ -18,6 +18,7 @@ import collections
 import contextlib
 import csv
 import datetime as dt
+import gc
 import itertools
 import logging
 import os
@@ -453,6 +454,10 @@ def run(argv: list[str] | None = None) -> int:
 def main() -> None:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
+    # The objects made at start-up (modules, numpy's tables) live until exit.
+    # Frozen, no collection scans them again, the exit one included, and the
+    # collections of forked workers do not write to their pages.
+    gc.freeze()
     try:
         sys.exit(run())
     except InputError as exc:

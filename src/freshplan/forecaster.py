@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers
-from .autodiff import Adam, ParamSet, Tensor
+from .autodiff import Adam, Tensor
 from .errors import InputError, InvariantError
 from .pipeline import (HORIZON_DAYS, INPUT_DAYS, Normalizer, SeriesFrame, Windows,
                        fit_normalizer, make_windows)
@@ -102,11 +102,10 @@ class ForecasterModel:
         head = layers.DenseLayer.create(rng, config.channels, HORIZON_DAYS)
         return cls(cost_branch, term_branch, head, normalizer, product_id)
 
-    def params(self) -> ParamSet:
-        named = self.cost_branch.named_params("cost")
-        named += self.term_branch.named_params("term")
-        named += [("head.weights", self.head.weights), ("head.bias", self.head.bias)]
-        return ParamSet(named)
+    def params(self) -> list[Tensor]:
+        """The cost branch's, then the term branch's, then the head's weights and bias."""
+        return self.cost_branch.params() + self.term_branch.params() + [
+            self.head.weights, self.head.bias]
 
     def forward(self, history: Tensor, terms: Tensor) -> Tensor:
         """history [B, 15, 1] and terms [B, 7, 10] -> scaled predictions [B, 7]."""
@@ -142,8 +141,7 @@ def train(model: ForecasterModel, windows: Windows, epochs: int, lr: float, seed
     n = len(windows)
     histories, terms, targets = windows.histories[:, :, None], windows.terms, windows.targets
     size = batch_size if 0 < batch_size < n else n
-    params = model.params()
-    optimizer = Adam(params, lr=lr)
+    optimizer = Adam(model.params(), lr=lr)
     rng = np.random.default_rng(seed)
 
     loss_curve: list[float] = []
@@ -240,21 +238,3 @@ def evaluate(y, y_hat) -> MetricsReport:
     err = y - y_hat
     mse = float(np.mean(err ** 2))
     return MetricsReport(mse=mse, mae=float(np.mean(np.abs(err))), rmse=float(np.sqrt(mse)))
-
-
-# -- evaluation helpers -------------------------------------------------------
-
-
-def holdout_mse(model: ForecasterModel, windows: Windows) -> float:
-    """Mean squared error of the model over windows, in raw units."""
-    preds = model.predict_scaled(windows.histories, windows.terms)
-    inverse = model.normalizer.inverse
-    return float(np.mean((inverse(preds) - inverse(windows.targets)) ** 2))
-
-
-def naive_mse(windows: Windows, normalizer: Normalizer) -> float:
-    """MSE, in raw units, of repeating each window's last observed value across
-    the horizon."""
-    targets = windows.targets
-    preds = np.repeat(windows.histories[:, -1:], targets.shape[1], axis=1)
-    return float(np.mean((normalizer.inverse(preds) - normalizer.inverse(targets)) ** 2))

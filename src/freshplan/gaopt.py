@@ -87,6 +87,11 @@ class PlanProblem:
         self.low = np.column_stack([p_lo, a_lo]).ravel()
         self.high = np.column_stack([p_hi, a_hi]).ravel()
         self.width = self.high - self.low
+        # What `weekly_demand` and `fitness` read on every call.
+        self.sloped = sloped
+        self.pinned = np.clip(WEEK_DAYS * np.maximum(0.0, self.mean_volume),
+                              self.lower, self.upper)
+        self.low_tolerance, self.high_tolerance = self.low - 1e-9, self.high + 1e-9
 
 
 def weekly_demand(problem: PlanProblem, prices: np.ndarray) -> np.ndarray:
@@ -97,8 +102,7 @@ def weekly_demand(problem: PlanProblem, prices: np.ndarray) -> np.ndarray:
     mean volume, clamped into the sales interval.
     """
     line = WEEK_DAYS * np.maximum(0.0, problem.intercept + problem.slope * prices)
-    pinned = np.clip(WEEK_DAYS * np.maximum(0.0, problem.mean_volume), problem.lower, problem.upper)
-    return np.where(problem.slope < 0.0, line, pinned)
+    return np.where(problem.sloped, line, problem.pinned)
 
 
 def _sold_and_profit(genes: np.ndarray, problem: PlanProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +124,7 @@ def fitness(population: np.ndarray, problem: PlanProblem) -> np.ndarray:
     if pop.ndim != 2 or pop.shape[1] != problem.low.size:
         raise InputError(f"population shape {pop.shape} does not match "
                          f"{len(problem.product_ids)} products")
-    if np.any(pop < problem.low - 1e-9) or np.any(pop > problem.high + 1e-9):
+    if np.any(pop < problem.low_tolerance) or np.any(pop > problem.high_tolerance):
         raise InvariantError("fitness called on an unrepaired chromosome")
     _, profit = _sold_and_profit(pop, problem)
     return np.add.accumulate(profit, axis=1)[:, -1]
@@ -133,9 +137,9 @@ def gaussian_mutate(population: np.ndarray, problem: PlanProblem, cfg: GaConfig,
     width` per gene.  Draws the whole mask, then one standard normal per
     selected gene, in row-major order."""
     c = np.array(population, dtype=np.float64)
-    mask = rng.random(c.shape) < cfg.mutation_prob
-    sigma = np.broadcast_to(scale * cfg.sigma_fraction * problem.width, c.shape)
-    c[mask] += rng.standard_normal(np.count_nonzero(mask)) * sigma[mask]
+    picked = np.flatnonzero(rng.random(c.shape) < cfg.mutation_prob)
+    sigma = scale * cfg.sigma_fraction * problem.width
+    c.reshape(-1)[picked] += rng.standard_normal(picked.size) * sigma[picked % sigma.size]
     return c
 
 

@@ -14,11 +14,9 @@ raw dot product, softmax-normalizes the scores, and returns the weighted sum.
 On the graph, which is shaped [batch, time, channels], each residual block
 (conv, bias, ReLU and the identity or projection skip) is one `Tensor` node,
 the attention fusion is another and the dense head (x @ W + b on [B, F]) a
-third, each with a hand-written backward.  The plain-array wrappers
-`causal_conv` / `dilated_conv` / `attention_fuse` / `dense` call the same
-forward code, so they compute exactly what training runs.  A residual block
-whose input needs no gradient (a raw data tensor, see `autodiff`) computes only
-its kernel, bias and projection gradients.
+third, each with a hand-written backward.  A residual block whose input needs
+no gradient (a raw data tensor, see `autodiff`) computes only its kernel, bias
+and projection gradients.
 
 The nodes keep numpy on its fast paths for the small shapes of training (batch
 64, 7 to 22 rows, 1 to 48 columns).  A block runs its conv, its projection and
@@ -43,40 +41,16 @@ nodes deliver gradients cannot change a bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import InputError
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = float(np.sqrt(1.0 / fan_in))
     return rng.uniform(-bound, bound, size=shape)
-
-
-@dataclass
-class ConvLayer:
-    """Causal convolution with kernel [K, C_in, C_out], bias [C_out], dilation d >= 1."""
-
-    kernel: Tensor
-    bias: Tensor
-    dilation: int = 1
-
-    def __post_init__(self):
-        if self.kernel.data.ndim != 3 or self.kernel.data.shape[0] < 1:
-            raise InputError("kernel must have shape [K, C_in, C_out] with K >= 1")
-        if self.dilation < 1:
-            raise InputError(f"dilation must be >= 1, got {self.dilation}")
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, kernel_size: int, c_in: int, c_out: int,
-               dilation: int = 1) -> "ConvLayer":
-        kernel = Tensor(uniform_init(rng, (kernel_size, c_in, c_out), kernel_size * c_in),
-                        requires_grad=True)
-        bias = Tensor(np.zeros(c_out), requires_grad=True)
-        return cls(kernel, bias, dilation)
 
 
 def _live_taps(taps: int, dilation: int, t: int) -> list[tuple[int, int]]:
@@ -130,26 +104,33 @@ class DenseLayer:
 
 @dataclass
 class ResidualBlock:
-    """ReLU-activated causal conv plus a skip path (1x1 projection on width change)."""
+    """ReLU-activated causal conv plus a skip path (1x1 projection on width change).
 
-    conv: ConvLayer
+    The conv has kernel [K, C_in, C_out], bias [C_out] and dilation >= 1.
+    """
+
+    kernel: Tensor
+    bias: Tensor
+    dilation: int
     projection: Tensor | None = None  # [C_in, C_out] when widths differ
 
     @classmethod
     def create(cls, rng: np.random.Generator, kernel_size: int, c_in: int, c_out: int,
                dilation: int) -> "ResidualBlock":
-        conv = ConvLayer.create(rng, kernel_size, c_in, c_out, dilation)
+        kernel = Tensor(uniform_init(rng, (kernel_size, c_in, c_out), kernel_size * c_in),
+                        requires_grad=True)
+        bias = Tensor(np.zeros(c_out), requires_grad=True)
         projection = None
         if c_in != c_out:
             projection = Tensor(uniform_init(rng, (c_in, c_out), c_in), requires_grad=True)
-        return cls(conv, projection)
+        return cls(kernel, bias, dilation, projection)
 
     def apply(self, x: Tensor) -> Tensor:
         """relu(conv(x)) + skip(x) on [B, T, C_in] as one graph node."""
-        kernel, bias, projection = self.conv.kernel, self.conv.bias, self.projection
+        kernel, bias, dilation, projection = self.kernel, self.bias, self.dilation, self.projection
         k, c_in, c_out = kernel.data.shape
         t = x.data.shape[-2]
-        stacked, pre = conv_forward(x.data, kernel.data, bias.data, self.conv.dilation)
+        stacked, pre = conv_forward(x.data, kernel.data, bias.data, dilation)
         mask = pre > 0.0
         out = np.maximum(pre, 0.0, out=pre)
         if projection is None:
@@ -169,7 +150,7 @@ class ResidualBlock:
                 return
             g_stacked = (g_flat @ kernel.data.reshape(k * c_in, c_out).T).reshape(stacked.shape)
             g_x = np.zeros_like(x.data)
-            for r, s in _live_taps(k, self.conv.dilation, t):
+            for r, s in _live_taps(k, dilation, t):
                 g_x[..., :t - s, :] += g_stacked[..., s:, r * c_in:(r + 1) * c_in]
             g_x += g if projection is None else g @ projection.data.T
             x.accumulate(g_x)
@@ -182,7 +163,7 @@ class ResidualBlock:
 class TcnBranch:
     """Stack of residual dilated-conv blocks; output feature width is the last block's."""
 
-    blocks: list[ResidualBlock] = field(default_factory=list)
+    blocks: list[ResidualBlock]
 
     @classmethod
     def create(cls, rng: np.random.Generator, c_in: int, channels: int, kernel_size: int,
@@ -196,21 +177,17 @@ class TcnBranch:
 
     @property
     def out_width(self) -> int:
-        return self.blocks[-1].conv.kernel.data.shape[2]
+        return self.blocks[-1].kernel.data.shape[2]
 
     def apply(self, x: Tensor) -> Tensor:
         for block in self.blocks:
             x = block.apply(x)
         return x
 
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        named = []
-        for i, block in enumerate(self.blocks):
-            named.append((f"{prefix}.block{i}.kernel", block.conv.kernel))
-            named.append((f"{prefix}.block{i}.bias", block.conv.bias))
-            if block.projection is not None:
-                named.append((f"{prefix}.block{i}.projection", block.projection))
-        return named
+    def params(self) -> list[Tensor]:
+        """Each block's kernel, bias and projection (if any), block by block."""
+        return [p for block in self.blocks
+                for p in (block.kernel, block.bias, block.projection) if p is not None]
 
 
 def attention_forward(x1: np.ndarray, x2: np.ndarray
@@ -248,47 +225,3 @@ def attention_fuse_graph(x1: Tensor, x2: Tensor) -> Tensor:
         x2.accumulate(g_keys[:, t1:, :])
 
     return Tensor(fused, _parents=(x1, x2), _backward=backprop)
-
-
-# -- plain-array entry points ------------------------------------------------
-
-
-def _as_time_matrix(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise InputError(f"expected a [T] or [T, C] input, got shape {arr.shape}")
-    return arr
-
-
-def causal_conv(x, layer: ConvLayer) -> np.ndarray:
-    """Causal convolution of a [T, C_in] sequence; requires dilation 1."""
-    if layer.dilation != 1:
-        raise InputError("causal_conv requires dilation 1; use dilated_conv")
-    return dilated_conv(x, layer)
-
-
-def dilated_conv(x, layer: ConvLayer) -> np.ndarray:
-    """Dilated causal convolution of a [T, C_in] sequence to [T, C_out]."""
-    arr = _as_time_matrix(x)
-    _, out = conv_forward(arr[None, :, :], layer.kernel.data, layer.bias.data, layer.dilation)
-    return out[0]
-
-
-def attention_fuse(x1, x2) -> np.ndarray:
-    """Dot-product attention fusion of two [T, F] feature matrices to one [F] row."""
-    a1, a2 = _as_time_matrix(x1), _as_time_matrix(x2)
-    if a1.shape[1] != a2.shape[1]:
-        raise InputError("branches must share feature width")
-    if a1.shape[0] < 1 or a2.shape[0] < 1:
-        raise InputError("each branch needs at least one row")
-    return attention_forward(a1[None, :, :], a2[None, :, :])[3][0]
-
-
-def dense(x, layer: DenseLayer) -> np.ndarray:
-    """Affine head applied to one [F] feature vector."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] != layer.weights.data.shape[0]:
-        raise InputError(f"expected a length-{layer.weights.data.shape[0]} vector")
-    return layer.apply(Tensor(arr[None, :])).data[0]

@@ -1,17 +1,16 @@
 """The 24 solar terms of the traditional Chinese calendar as a seasonal feature.
 
-Each Gregorian date is mapped to one of the 24 terms via a (month, day) boundary
-table, and each term is encoded as a 10-bit two-hot vector: 4 season bits
-followed by 6 within-season position bits.  Seasons are blocks of six
-consecutive terms starting at Li Chun.  `TERM_CODES` holds the 24 codes as
-rows, so a run of dates is encoded by one table lookup per date
-(`TermBoundaryTable.term_indices`) and one row index.
+Each Gregorian date is mapped to the index of one of the 24 terms (named in
+`TERM_NAMES`, starting at Li Chun) via a (month, day) boundary table, and each
+term is encoded as a 10-bit two-hot vector: 4 season bits followed by 6
+within-season position bits.  Seasons are blocks of six consecutive terms.
+`TERM_CODES` holds the 24 codes as rows, so a run of dates is encoded by one
+table lookup per date (`TermBoundaryTable.term_indices`) and one row index.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,26 +34,12 @@ DEFAULT_BOUNDARIES = [
 
 SEASON_COUNT = 4
 TERMS_PER_SEASON = 6
-VECTOR_WIDTH = SEASON_COUNT + TERMS_PER_SEASON
 
-
-@dataclass(frozen=True)
-class SolarTerm:
-    """One of the 24 terms, ordered through the year starting at Li Chun."""
-
-    index: int
-    name: str
-
-    @property
-    def season(self) -> int:
-        return self.index // TERMS_PER_SEASON
-
-    @property
-    def position_in_season(self) -> int:
-        return self.index % TERMS_PER_SEASON
-
-
-ALL_TERMS = tuple(SolarTerm(i, name) for i, name in enumerate(TERM_NAMES))
+# Two-hot codes, row = term index: season bit i // 6, then position bit i % 6.
+_INDEX = np.arange(len(TERM_NAMES))
+TERM_CODES = np.concatenate([np.eye(SEASON_COUNT)[_INDEX // TERMS_PER_SEASON],
+                             np.eye(TERMS_PER_SEASON)[_INDEX % TERMS_PER_SEASON]], axis=1)
+TERM_CODES.flags.writeable = False
 
 
 class TermBoundaryTable:
@@ -85,28 +70,6 @@ class TermBoundaryTable:
         keys = np.array([100 * day.month + day.day for day in dates], dtype=np.int64)
         return self._terms[np.searchsorted(self._keys, keys, side="right") - 1]
 
-    def term_index_of(self, date: dt.date) -> int:
-        return int(self.term_indices([date])[0])
-
-
-def term_of_date(date: dt.date, table: TermBoundaryTable | None = None) -> SolarTerm:
-    """Return the solar term whose [start, next start) interval contains the date."""
-    table = table if table is not None else TermBoundaryTable()
-    return ALL_TERMS[table.term_index_of(date)]
-
-
-def encode_term(term: SolarTerm) -> np.ndarray:
-    """Two-hot 10-bit encoding: one season bit plus one position-in-season bit."""
-    if not 0 <= term.index < len(TERM_NAMES):
-        raise InputError(f"term index {term.index} out of range")
-    bits = np.zeros(VECTOR_WIDTH, dtype=np.float64)
-    bits[term.season] = 1.0
-    bits[SEASON_COUNT + term.position_in_season] = 1.0
-    return bits
-
-
-TERM_CODES = np.stack([encode_term(term) for term in ALL_TERMS])  # [24, 10], row = term index
-TERM_CODES.flags.writeable = False
 
 
 def encode_date_range(start: dt.date, days: int, table: TermBoundaryTable | None = None) -> np.ndarray:

@@ -4,7 +4,8 @@ Most are brute force, deliberately written with plain Python loops, separate
 from the vectorized library code they check.  Where a test pins the bits of a
 rewrite, the reference is the earlier vectorized form of the same arithmetic
 (`adam_reference`, `topo_order_reference`, `residual_block_reference`,
-`attention_reference`).
+`attention_reference`, `gaussian_mutate_reference`).  `holdout_mse` and
+`naive_mse` are A7's two error measures.
 """
 
 import datetime as dt
@@ -163,6 +164,18 @@ def generation_reference(pop, fits, low, high, crossover_rate: float, prob: floa
     return np.array(children, dtype=np.float64)
 
 
+def gaussian_mutate_reference(population, width, mutation_prob: float, sigma_fraction: float,
+                              rng, scale: float = 1.0) -> np.ndarray:
+    """Gaussian mutation through a boolean mask of the population's shape: the
+    mask draw, then one normal per selected gene in row-major order, times
+    `scale * sigma_fraction * width` broadcast to the population."""
+    c = np.array(population, dtype=np.float64)
+    mask = rng.random(c.shape) < mutation_prob
+    sigma = np.broadcast_to(scale * sigma_fraction * width, c.shape)
+    c[mask] += rng.standard_normal(np.count_nonzero(mask)) * sigma[mask]
+    return c
+
+
 def term_index_reference(date: dt.date, entries) -> int:
     """Index of the term whose boundary is the last one at or before the date's
     (month, day) in a list of 24 (month, day) boundaries; a date before every
@@ -305,3 +318,18 @@ def attention_reference(x1, x2, g):
     g_last = np.zeros_like(x1)
     g_last[..., -1, :] = (keys_t @ g_sim).reshape(b, f)
     return fused, g_keys[..., :t1, :] + g_last, g_keys[..., t1:, :]
+
+
+def holdout_mse(model, windows) -> float:
+    """Mean squared error of the model over windows, in raw units."""
+    preds = model.predict_scaled(windows.histories, windows.terms)
+    inverse = model.normalizer.inverse
+    return float(np.mean((inverse(preds) - inverse(windows.targets)) ** 2))
+
+
+def naive_mse(windows, normalizer) -> float:
+    """MSE, in raw units, of repeating each window's last observed value across
+    the horizon."""
+    targets = windows.targets
+    preds = np.repeat(windows.histories[:, -1:], targets.shape[1], axis=1)
+    return float(np.mean((normalizer.inverse(preds) - normalizer.inverse(targets)) ** 2))

@@ -12,7 +12,8 @@ import time
 
 import numpy as np
 import pytest
-from oracles import conv_reference, single_product_grid_optimum, topsis_reference
+from oracles import (conv_reference, holdout_mse, naive_mse, single_product_grid_optimum,
+                     topsis_reference)
 
 from freshplan import autodiff as ad
 from freshplan import cli, forecaster, gaopt, intervals as iv, layers, mcdm, pipeline
@@ -22,9 +23,8 @@ from freshplan.demand import DemandCurve
 from freshplan.forecaster import ForecasterModel, ModelConfig
 from freshplan.gaopt import GaConfig, PlanProblem, ProductContext
 from freshplan.intervals import SalesInterval
-from freshplan.layers import ConvLayer, attention_fuse, dilated_conv
 from freshplan.pipeline import fit_normalizer, make_windows
-from freshplan.solarterms import ALL_TERMS, encode_date_range, encode_term
+from freshplan.solarterms import TERM_CODES, encode_date_range
 
 
 def _finish(tag: str, started: float, budget_s: float, detail: str) -> None:
@@ -35,13 +35,13 @@ def _finish(tag: str, started: float, budget_s: float, detail: str) -> None:
 
 def test_a01_term_encoding_exact():
     started = time.perf_counter()
-    assert encode_term(ALL_TERMS[0]).tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 0, 0]
-    assert encode_term(ALL_TERMS[4]).tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 1, 0]
-    assert encode_term(ALL_TERMS[23]).tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0, 1]
+    assert TERM_CODES[0].tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert TERM_CODES[4].tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 1, 0]
+    assert TERM_CODES[23].tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0, 1]
+    assert TERM_CODES.shape == (24, 10)
     vectors = set()
-    for term in ALL_TERMS:
-        bits = encode_term(term)
-        assert bits.shape == (10,) and set(bits.tolist()) <= {0.0, 1.0}
+    for bits in TERM_CODES:
+        assert set(bits.tolist()) <= {0.0, 1.0}
         assert bits[:4].sum() == 1 and bits[4:].sum() == 1
         vectors.add(tuple(bits))
     assert len(vectors) == 24
@@ -78,7 +78,7 @@ def test_a03_gradient_oracle_on_micro_forecaster():
         pred = model.forward(Tensor(history), Tensor(terms))
         return ad.mean((pred - Tensor(target)) ** 2)
 
-    params = model.params().tensors()
+    params = model.params()
     count = sum(t.data.size for t in params)
     worst = ad.finite_difference_check(loss_fn, params, h=1e-4)
     assert worst < 1e-3, f"max relative gradient error {worst:.2e}"
@@ -99,8 +99,7 @@ def test_a04_convolution_oracles():
     rng = np.random.default_rng(20240211)
     for _ in range(1000):
         x, kernel, bias, d = _random_conv_case(rng)
-        layer = ConvLayer(Tensor(kernel), Tensor(bias), d)
-        got = dilated_conv(x, layer)
+        got = layers.conv_forward(x[None], kernel, bias, d)[1][0]
         assert np.max(np.abs(got - conv_reference(x, kernel, bias, d))) < 1e-12
         # causality: disturbing strictly-future inputs never changes y[..t]
         T = x.shape[0]
@@ -108,10 +107,11 @@ def test_a04_convolution_oracles():
         disturbed = x.copy()
         if t + 1 < T:
             disturbed[t + 1:] += rng.normal(size=disturbed[t + 1:].shape)
-        assert np.array_equal(got[:t + 1], dilated_conv(disturbed, layer)[:t + 1])
+        assert np.array_equal(got[:t + 1],
+                              layers.conv_forward(disturbed[None], kernel, bias, d)[1][0][:t + 1])
         # dilation 1 must match the causal form exactly
-        d1 = ConvLayer(Tensor(kernel), Tensor(bias), 1)
-        assert np.max(np.abs(layers.causal_conv(x, d1) - dilated_conv(x, d1))) < 1e-12
+        d1 = layers.conv_forward(x[None], kernel, bias, 1)[1][0]
+        assert np.max(np.abs(d1 - conv_reference(x, kernel, bias, 1))) < 1e-12
     _finish("A4", started, 10.0,
             "1000 random cases match brute force < 1e-12; causality and d=1 equivalence hold")
 
@@ -129,7 +129,7 @@ def test_a05_attention_contract():
         alpha = ex / ex.sum()
         assert np.all(alpha >= 0.0)
         assert abs(alpha.sum() - 1.0) < 1e-9
-        fused = attention_fuse(x1, x2)
+        fused = layers.attention_forward(x1[None], x2[None])[3][0]
         assert np.all(fused >= keys.min(axis=0) - 1e-12)
         assert np.all(fused <= keys.max(axis=0) + 1e-12)
     _finish("A5", started, 5.0,
@@ -206,8 +206,8 @@ def test_a07_forecaster_beats_naive_baseline():
                                        seed=derive_seed(42, "a7", pid), config=config)
         forecaster.train(model, train_w, epochs=50, lr=1e-2,
                          seed=derive_seed(42, "a7-order", pid), batch_size=64)
-        mse_model = forecaster.holdout_mse(model, val_w)
-        mse_naive = forecaster.naive_mse(val_w, normalizer)
+        mse_model = holdout_mse(model, val_w)
+        mse_naive = naive_mse(val_w, normalizer)
         improvement = 1.0 - mse_model / mse_naive
         improvements.append(improvement)
         wins += improvement >= 0.20

@@ -3,7 +3,7 @@ import pytest
 from oracles import adam_reference, topo_order_reference
 
 from freshplan import autodiff as ad
-from freshplan.autodiff import Adam, ParamSet, Tensor
+from freshplan.autodiff import Adam, Tensor
 from freshplan.errors import InvariantError
 from freshplan.forecaster import ForecasterModel, ModelConfig
 from freshplan.intervals import BootstrapConfig
@@ -54,7 +54,7 @@ def test_creation_order_sweep_matches_topological_reference(shape, batch):
     history = Tensor(rng.uniform(0.0, 1.0, (batch, 15, 1)))
     terms = Tensor(rng.integers(0, 2, (batch, 7, 10)))
     loss = ad.mean((model.forward(history, terms) - Tensor(rng.uniform(0.0, 1.0, (batch, 7)))) ** 2)
-    params = model.params().tensors()
+    params = model.params()
 
     ad.backward(loss)
     swept = [p.grad.tobytes() for p in params]
@@ -71,13 +71,13 @@ def test_creation_order_sweep_matches_topological_reference(shape, batch):
 class TestAdam:
     def test_zero_grads_leave_parameters_unchanged(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = Adam(ParamSet([("p", p)]), lr=0.1)
+        opt = Adam([p], lr=0.1)
         opt.step()
         assert p.data.tolist() == [1.0, -2.0]
 
     def test_moves_against_gradient_sign(self):
         p = Tensor(0.0, requires_grad=True)
-        opt = Adam(ParamSet([("p", p)]), lr=0.05)
+        opt = Adam([p], lr=0.05)
         for _ in range(20):
             p.accumulate(np.asarray(3.0))  # constant positive gradient
             opt.step()
@@ -85,7 +85,7 @@ class TestAdam:
 
     def test_descends_quadratic_bowl(self):
         p = Tensor(np.array([4.0, -3.0]), requires_grad=True)
-        opt = Adam(ParamSet([("p", p)]), lr=1e-2)
+        opt = Adam([p], lr=1e-2)
         losses = []
         for _ in range(50):
             loss = ad.mean(p ** 2)
@@ -99,7 +99,7 @@ class TestAdam:
         shapes = [(3, 2), (), (4,), (2, 1, 3)]
         init = [rng.normal(size=shape) for shape in shapes]
         tensors = [Tensor(x.copy(), requires_grad=True) for x in init]
-        opt = Adam(ParamSet([(f"p{i}", t) for i, t in enumerate(tensors)]), lr=0.05)
+        opt = Adam(tensors, lr=0.05)
         # Tensor 1 has no gradient on every third step, the first included.
         grads = [[None if i == 1 and step % 3 == 0 else rng.normal(size=shape)
                   for i, shape in enumerate(shapes)] for step in range(20)]
@@ -114,15 +114,13 @@ class TestAdam:
 
     def test_step_zeroes_grads(self):
         p = Tensor(1.0, requires_grad=True)
-        opt = Adam(ParamSet([("p", p)]))
+        opt = Adam([p])
         p.accumulate(np.asarray(1.0))
         opt.step()
         assert p.grad is None
 
-
-class TestParamSet:
-    def test_duplicate_names_rejected(self):
+    def test_parameter_listed_twice_rejected(self):
         t = Tensor(1.0, requires_grad=True)
-        with pytest.raises(InvariantError):
-            ParamSet([("x", t), ("x", t)])
+        with pytest.raises(InvariantError, match="listed twice"):
+            Adam([t, Tensor(2.0, requires_grad=True), t])
 

@@ -88,10 +88,10 @@ class TestTrain:
 
     def test_zero_epochs_is_noop(self):
         model, windows = toy_model(toy_frame())
-        before = [t.data.copy() for t in model.params().tensors()]
+        before = [t.data.copy() for t in model.params()]
         report = train(model, windows, epochs=0, lr=1e-3, seed=0)
         assert report.loss_curve == []
-        for tensor, orig in zip(model.params().tensors(), before):
+        for tensor, orig in zip(model.params(), before):
             assert np.array_equal(tensor.data, orig)
 
     def test_empty_samples_rejected(self):
@@ -104,7 +104,7 @@ class TestTrain:
         model, windows = toy_model(frame)
         train(model, windows, epochs=5, lr=1e-2, seed=0, batch_size=8)
         copy = pickle.loads(pickle.dumps(model))
-        for ours, theirs in zip(model.params().tensors(), copy.params().tensors()):
+        for ours, theirs in zip(model.params(), copy.params()):
             assert ours.data.tobytes() == theirs.data.tobytes()
         for k in (0, len(windows) - 1):
             assert predict(copy, frame.values[k:k + 15], windows.terms[k]).tobytes() == \
@@ -158,7 +158,7 @@ class TestGradientOracle:
             pred = model.forward(ad.Tensor(h), ad.Tensor(t))
             return ad.mean((pred - ad.Tensor(y)) ** 2)
 
-        err = ad.finite_difference_check(loss_fn, model.params().tensors())
+        err = ad.finite_difference_check(loss_fn, model.params())
         assert err < 1e-3
 
 
@@ -220,7 +220,7 @@ def test_loss_graph_size_does_not_depend_on_kernel_size():
         history = ad.Tensor(np.zeros((8, 15, 1)))
         terms = ad.Tensor(np.zeros((8, 7, forecaster.TERM_WIDTH)))
         loss = ad.mean((model.forward(history, terms) - ad.Tensor(np.zeros((8, 7)))) ** 2)
-        return len(topo_order_reference(loss)), len(model.params().tensors())
+        return len(topo_order_reference(loss)), len(model.params())
 
     for dilations in ([1], [1, 2]):
         nodes, params = loss_nodes(3, dilations)

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import gene_boxes_reference, generation_reference, plan_profit_reference
+from oracles import (gaussian_mutate_reference, gene_boxes_reference, generation_reference,
+                     plan_profit_reference)
 from test_acceptance import _instance_32
 
 from freshplan import gaopt
@@ -206,6 +207,21 @@ class TestMutation:
         sigma = cfg.sigma_fraction * problem.width
         for g in range(2):
             assert abs(deltas[:, g].mean()) < 3.0 * sigma[g] / np.sqrt(trials)
+
+    @pytest.mark.parametrize("prob", [0.0, 0.1, 1.0])
+    def test_matches_boolean_mask_reference(self, prob):
+        """The flat-index form draws and adds the same numbers as the boolean
+        mask over the broadcast sigma, on a population and on one chromosome."""
+        problem = PlanProblem(_instance_32())
+        cfg = GaConfig(mutation_prob=prob, sigma_fraction=0.2)
+        rng = np.random.default_rng(5)
+        population = rng.uniform(problem.low, problem.high, size=(40, problem.low.size))
+        for genes in (population, population[3]):
+            got = gaussian_mutate(genes, problem, cfg, np.random.default_rng(9), scale=0.7)
+            want = gaussian_mutate_reference(genes, problem.width, prob, 0.2,
+                                             np.random.default_rng(9), scale=0.7)
+            assert got.shape == genes.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCrossover:

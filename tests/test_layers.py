@@ -6,40 +6,43 @@ from oracles import attention_reference, conv_reference, residual_block_referenc
 
 from freshplan import autodiff as ad, layers
 from freshplan.autodiff import Tensor
-from freshplan.errors import InputError
-from freshplan.layers import ConvLayer, DenseLayer, attention_fuse, causal_conv, dense, dilated_conv
+from freshplan.layers import DenseLayer
 
 
-def layer_of(kernel, bias=None, dilation=1) -> ConvLayer:
+def conv(x, kernel, bias=None, dilation=1) -> np.ndarray:
+    """`conv_forward` of one [T] or [T, C_in] sequence, as [T, C_out]."""
+    x = np.asarray(x, dtype=float)
+    x = x[:, None] if x.ndim == 1 else x
     kernel = np.asarray(kernel, dtype=float)
     bias = np.zeros(kernel.shape[2]) if bias is None else np.asarray(bias, dtype=float)
-    return ConvLayer(Tensor(kernel), Tensor(bias), dilation)
+    return layers.conv_forward(x[None], kernel, bias, dilation)[1][0]
+
+
+def fuse(x1, x2) -> np.ndarray:
+    """`attention_forward` of two [T, F] branches, as one [F] row."""
+    return layers.attention_forward(x1[None], x2[None])[3][0]
+
+
+def dense(x, layer: DenseLayer) -> np.ndarray:
+    """The dense head's node on one [F] feature vector."""
+    return layer.apply(Tensor(x[None])).data[0]
 
 
 class TestConvExamples:
     def test_identity_kernel(self):
-        layer = layer_of([[[1.0]], [[0.0]]])
-        assert causal_conv([1, 2, 3], layer).ravel().tolist() == [1, 2, 3]
+        assert conv([1, 2, 3], [[[1.0]], [[0.0]]]).ravel().tolist() == [1, 2, 3]
 
     def test_two_tap_average(self):
-        layer = layer_of([[[0.5]], [[0.5]]])
-        assert causal_conv([2, 4, 6], layer).ravel().tolist() == [1, 3, 5]
+        assert conv([2, 4, 6], [[[0.5]], [[0.5]]]).ravel().tolist() == [1, 3, 5]
 
     def test_pure_delay(self):
-        layer = layer_of([[[0.0]], [[1.0]]])
-        assert causal_conv([1, 0, 0], layer).ravel().tolist() == [0, 1, 0]
+        assert conv([1, 0, 0], [[[0.0]], [[1.0]]]).ravel().tolist() == [0, 1, 0]
 
     def test_dilated_two_tap(self):
-        layer = layer_of([[[1.0]], [[1.0]]], dilation=2)
-        assert dilated_conv([1, 2, 3, 4], layer).ravel().tolist() == [1, 2, 4, 6]
+        assert conv([1, 2, 3, 4], [[[1.0]], [[1.0]]], dilation=2).ravel().tolist() == [1, 2, 4, 6]
 
     def test_all_taps_in_padding(self):
-        layer = layer_of([[[1.0]], [[1.0]], [[1.0]]], dilation=3)
-        assert dilated_conv([5], layer).ravel().tolist() == [5]
-
-    def test_causal_conv_rejects_dilation(self):
-        with pytest.raises(InputError):
-            causal_conv([1.0], layer_of([[[1.0]]], dilation=2))
+        assert conv([5], [[[1.0]], [[1.0]], [[1.0]]], dilation=3).ravel().tolist() == [5]
 
 
 def random_case(rng):
@@ -59,7 +62,7 @@ class TestConvOracle:
         rng = np.random.default_rng(20240211)
         for _ in range(1000):
             x, kernel, bias, d = random_case(rng)
-            got = dilated_conv(x, layer_of(kernel, bias, d))
+            got = conv(x, kernel, bias, d)
             want = conv_reference(x, kernel, bias, d)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -69,19 +72,23 @@ class TestConvOracle:
             x, kernel, bias, d = random_case(rng)
             if x.shape[0] < 2:
                 continue
-            layer = layer_of(kernel, bias, d)
             t = int(rng.integers(0, x.shape[0] - 1))
             disturbed = x.copy()
             disturbed[t + 1:] += rng.normal(size=disturbed[t + 1:].shape)
-            assert np.array_equal(dilated_conv(x, layer)[:t + 1],
-                                  dilated_conv(disturbed, layer)[:t + 1])
+            assert np.array_equal(conv(x, kernel, bias, d)[:t + 1],
+                                  conv(disturbed, kernel, bias, d)[:t + 1])
 
     def test_dilation_one_equals_causal(self):
+        """At dilation 1 the conv is the plain causal one; at dilation d it is
+        the causal conv of the kernel with d - 1 zero taps between its taps."""
         rng = np.random.default_rng(8)
         for _ in range(200):
-            x, kernel, bias, _ = random_case(rng)
-            d1 = layer_of(kernel, bias, 1)
-            assert np.max(np.abs(causal_conv(x, d1) - dilated_conv(x, d1))) < 1e-12
+            x, kernel, bias, d = random_case(rng)
+            assert np.max(np.abs(conv(x, kernel, bias, 1)
+                                 - conv_reference(x, kernel, bias, 1))) < 1e-12
+            spread = np.zeros(((kernel.shape[0] - 1) * d + 1,) + kernel.shape[1:])
+            spread[::d] = kernel
+            assert np.max(np.abs(conv(x, kernel, bias, d) - conv(x, spread, bias, 1))) < 1e-12
 
 
 class TestAttention:
@@ -89,7 +96,7 @@ class TestAttention:
         row = np.array([0.3, -1.0, 2.0])
         x1 = np.tile(row, (4, 1))
         x2 = np.tile(row, (2, 1))
-        assert np.allclose(attention_fuse(x1, x2), row, atol=1e-12)
+        assert np.allclose(fuse(x1, x2), row, atol=1e-12)
 
     def test_dominant_row_wins(self):
         rng = np.random.default_rng(3)
@@ -97,13 +104,13 @@ class TestAttention:
         x2 = rng.normal(size=(2, 4))
         query = x1[-1]
         x2[0] = 1e6 * query  # huge positive similarity with the query
-        fused = attention_fuse(x1, x2)
+        fused = fuse(x1, x2)
         assert np.max(np.abs(fused - x2[0])) / np.max(np.abs(x2[0])) < 1e-6
 
     def test_two_row_softmax_by_hand(self):
         q = np.array([2.0, 0.0])
         r = np.array([0.0, 1.0])  # orthogonal to q
-        fused = attention_fuse(q[None, :], r[None, :])
+        fused = fuse(q[None, :], r[None, :])
         w = np.exp([q @ q, 0.0])
         w /= w.sum()
         assert w[0] > w[1]
@@ -121,13 +128,9 @@ class TestAttention:
             alpha = shifted / shifted.sum()
             assert np.all(alpha >= 0)
             assert abs(alpha.sum() - 1.0) < 1e-9
-            fused = attention_fuse(x1, x2)
+            fused = fuse(x1, x2)
             assert np.all(fused >= keys.min(axis=0) - 1e-12)
             assert np.all(fused <= keys.max(axis=0) + 1e-12)
-
-    def test_feature_width_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            attention_fuse(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestDense:
@@ -153,8 +156,7 @@ class TestDense:
 @given(st.integers(1, 10), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3))
 def test_conv_output_shape(t, c_in, c_out, k):
     rng = np.random.default_rng(t * 100 + c_in * 10 + c_out)
-    layer = layer_of(rng.normal(size=(k, c_in, c_out)))
-    assert dilated_conv(rng.normal(size=(t, c_in)), layer).shape == (t, c_out)
+    assert conv(rng.normal(size=(t, c_in)), rng.normal(size=(k, c_in, c_out))).shape == (t, c_out)
 
 
 def test_residual_block_gradients_match_fd():
@@ -168,7 +170,7 @@ def test_residual_block_gradients_match_fd():
                 assert (block.projection is None) == (c_in == c_out)
                 x = Tensor(rng.normal(size=(batch, 5, c_in)), requires_grad=True)
                 target = Tensor(rng.normal(size=(batch, 5, c_out)))
-                params = [x, block.conv.kernel, block.conv.bias]
+                params = [x, block.kernel, block.bias]
                 params += [] if block.projection is None else [block.projection]
 
                 def loss_fn():
@@ -210,7 +212,7 @@ def test_block_skips_only_the_gradient_of_an_input_that_needs_none():
     for c_in, c_out in ((3, 3), (2, 3)):
         for dilation in (1, 3):
             block = layers.ResidualBlock.create(rng, 3, c_in, c_out, dilation)
-            params = [block.conv.kernel, block.conv.bias]
+            params = [block.kernel, block.bias]
             params += [] if block.projection is None else [block.projection]
             data = rng.normal(size=(2, 5, c_in))
             target = Tensor(rng.normal(size=(2, 5, c_out)))
@@ -241,18 +243,18 @@ BLOCK_CASES += [(1, 8, 5, 1, 3), (10, 16, 5, 2, 3), (16, 16, 5, 2, 3)]
 def test_residual_block_matches_batched_reference(c_in, c_out, kernel_size, dilation, t, batch):
     rng = np.random.default_rng([c_in, c_out, kernel_size, dilation, t, batch])
     block = layers.ResidualBlock.create(rng, kernel_size, c_in, c_out, dilation)
-    block.conv.bias.data = rng.normal(size=c_out)
+    block.bias.data = rng.normal(size=c_out)
     assert (block.projection is None) == (c_in == c_out)
     x = Tensor(rng.normal(size=(batch, t, c_in)), requires_grad=True)
     g = rng.normal(size=(batch, t, c_out))
     projection = None if block.projection is None else block.projection.data
-    want_out, want = residual_block_reference(x.data, block.conv.kernel.data,
-                                              block.conv.bias.data, projection, dilation, g)
+    want_out, want = residual_block_reference(x.data, block.kernel.data,
+                                              block.bias.data, projection, dilation, g)
 
     out = block.apply(x)
     assert out.data.tobytes() == want_out.tobytes()
     out._backward(g)
-    got = {"x": x.grad, "kernel": block.conv.kernel.grad, "bias": block.conv.bias.grad}
+    got = {"x": x.grad, "kernel": block.kernel.grad, "bias": block.bias.grad}
     if projection is not None:
         got["projection"] = block.projection.grad
     assert got.keys() == want.keys()

@@ -6,27 +6,24 @@ from hypothesis import given, strategies as st
 
 from freshplan.errors import InputError
 from freshplan.pipeline import load_boundaries
-from freshplan.solarterms import (
-    ALL_TERMS,
-    TermBoundaryTable,
-    encode_date_range,
-    encode_term,
-    term_of_date,
-)
+from freshplan.solarterms import TERM_CODES, TERM_NAMES, TermBoundaryTable, encode_date_range
+
+
+def term_index(day: dt.date) -> int:
+    return int(TermBoundaryTable().term_indices([day])[0])
 
 
 def test_published_encodings():
     # Li Chun, Qing Ming, Da Han
-    assert encode_term(ALL_TERMS[0]).tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 0, 0]
-    assert encode_term(ALL_TERMS[4]).tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 1, 0]
-    assert encode_term(ALL_TERMS[23]).tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0, 1]
+    assert TERM_CODES[0].tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert TERM_CODES[4].tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 1, 0]
+    assert TERM_CODES[23].tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0, 1]
 
 
 def test_all_terms_two_hot_and_distinct():
+    assert TERM_CODES.shape == (24, 10)
     seen = set()
-    for term in ALL_TERMS:
-        bits = encode_term(term)
-        assert bits.shape == (10,)
+    for bits in TERM_CODES:
         assert set(bits.tolist()) <= {0.0, 1.0}
         assert bits[:4].sum() == 1
         assert bits[4:].sum() == 1
@@ -35,9 +32,8 @@ def test_all_terms_two_hot_and_distinct():
 
 
 def test_season_and_position_decomposition():
-    for term in ALL_TERMS:
-        assert term.season == term.index // 6
-        assert term.position_in_season == term.index % 6
+    for index, bits in enumerate(TERM_CODES):
+        assert np.flatnonzero(bits).tolist() == [index // 6, 4 + index % 6]
 
 
 @pytest.mark.parametrize("day,expected", [
@@ -48,12 +44,13 @@ def test_season_and_position_decomposition():
     (dt.date(2024, 2, 29), "Yu Shui"),   # leap day
 ])
 def test_term_of_date(day, expected):
-    assert term_of_date(day).name == expected
+    assert TERM_NAMES[term_index(day)] == expected
 
 
 def test_full_year_visits_all_terms_in_cyclic_order():
     start = dt.date(2023, 2, 4)  # Li Chun
-    indices = [term_of_date(start + dt.timedelta(days=i)).index for i in range(365)]
+    indices = TermBoundaryTable().term_indices(
+        start + dt.timedelta(days=i) for i in range(365)).tolist()
     # no gaps: consecutive days move by 0 or to the next term mod 24
     for a, b in zip(indices, indices[1:]):
         assert b in (a, (a + 1) % 24)
@@ -63,8 +60,8 @@ def test_full_year_visits_all_terms_in_cyclic_order():
 def test_encode_date_range_boundary_crossing():
     rows = encode_date_range(dt.date(2023, 2, 3), 2)
     assert rows.shape == (2, 10)
-    assert rows[0].tolist() == encode_term(ALL_TERMS[23]).tolist()  # Da Han
-    assert rows[1].tolist() == encode_term(ALL_TERMS[0]).tolist()   # Li Chun
+    assert rows[0].tolist() == TERM_CODES[23].tolist()  # Da Han
+    assert rows[1].tolist() == TERM_CODES[0].tolist()   # Li Chun
 
 
 def test_encode_date_range_week_of_one_term():
@@ -77,7 +74,7 @@ def test_encode_date_range_single_day():
     day = dt.date(2023, 9, 10)
     rows = encode_date_range(day, 1)
     assert rows.shape == (1, 10)
-    assert rows[0].tolist() == encode_term(term_of_date(day)).tolist()
+    assert rows[0].tolist() == TERM_CODES[term_index(day)].tolist()
 
 
 def test_encode_date_range_rejects_zero_days():
@@ -87,7 +84,7 @@ def test_encode_date_range_rejects_zero_days():
 
 @given(st.dates(min_value=dt.date(1990, 1, 1), max_value=dt.date(2060, 12, 31)))
 def test_every_date_two_hot(day):
-    bits = encode_term(term_of_date(day))
+    bits = TERM_CODES[term_index(day)]
     assert bits[:4].sum() == 1 and bits[4:].sum() == 1
 
 
