@@ -23,8 +23,8 @@ slots into a matching gradient vector, and applies each of its five update
 expressions once to the whole vector, in place on its moment vectors and with
 the same operations in the same order as the textbook expressions.  Elementwise
 IEEE arithmetic does not depend on how the elements are grouped, so this gives
-the same bits as updating tensor by tensor.  A parameter whose grad is None
-keeps its value and its moments.  Each step ends by clearing every grad.
+the same bits as updating tensor by tensor.  Each step ends by clearing every
+grad.
 
 Gradient correctness is validated against central finite differences in the
 test suite; `finite_difference_check` implements the probe.
@@ -183,14 +183,12 @@ class Adam:
         self._v = np.zeros_like(self._flat)
 
     def step(self) -> None:
-        self.t += 1
         g, m, v = self._grad, self._m, self._v
-        kept = []
         for tensor, part in self._parts:
             if tensor.grad is None:
-                kept.append((part, m[part].copy(), v[part].copy()))
-            else:
-                g[part] = tensor.grad.reshape(-1)
+                raise InvariantError("a parameter has no gradient")
+            g[part] = tensor.grad.reshape(-1)
+        self.t += 1
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
@@ -203,10 +201,6 @@ class Adam:
         np.sqrt(denom, out=denom)
         denom += self.eps
         update /= denom
-        # Where the gradient is missing, put the moments back and subtract
-        # 0.0, which leaves the value as it is.
-        for part, m_part, v_part in kept:
-            m[part], v[part], update[part] = m_part, v_part, 0.0
         self._flat -= update
         for tensor, _ in self._parts:
             tensor.zero_grad()

@@ -4,22 +4,22 @@ Every stage reads/writes CSV artifacts under the output directory and is
 deterministic given the top-level seed.  `forecast` and `intervals` build one
 `forecaster.FitTask` per model (product, or product and replica) and map
 `forecaster.fit_and_forecast` over them in a pool of worker processes, one per
-CPU this process may use.  A worker sends back the task's 7 forecasts and loss
-curve, never a model.  Every task draws only from its own seeds and results
-come back in task order, so the artifacts are the same bytes at any worker
-count.
+CPU this process may use.  A task's series is a first day and a view of the
+product's values, so all of a run's tasks fit in this process at once; a worker
+sends back the task's 7 forecasts and loss curve, never a model.  Every task
+draws only from its own seeds and results come back in task order, so the
+artifacts are the same bytes at any worker count.
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import csv
 import datetime as dt
+import functools
 import gc
-import itertools
 import logging
 import os
 import sys
@@ -86,22 +86,15 @@ def cmd_synth(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     log.info("synth: %d products x %d days", config.synth.products, config.synth.days)
 
 
-def _run_chunk(fn, chunk: list) -> list:
-    """`fn` over one chunk of tasks, in a worker process."""
-    return [fn(task) for task in chunk]
-
-
 @contextlib.contextmanager
 def _task_map(n_tasks: int):
     """A map over `n_tasks` tasks that yields results lazily in task order, and
     the number of workers it uses: min(CPUs this process may use, n_tasks).
 
     At one worker the map is the builtin `map` in this process; above that it
-    runs the tasks in forked worker processes.  Tasks go out in chunks of a
-    quarter of each worker's share, which keeps the workers evenly loaded, and
-    of at most 8 tasks.  The map takes the next chunk from its iterable only
-    while fewer than 4 chunks per worker are sent and unread, so that neither
-    built tasks nor finished results pile up in this process.  A task's
+    is the pool's `map` over forked worker processes, which takes every task at
+    once and sends them out in chunks of a quarter of each worker's share,
+    which keeps the workers evenly loaded, and of at most 8 tasks.  A task's
     exception is raised where its result is read, as in a serial run, and on
     leaving the block the tasks still queued are dropped.
     """
@@ -119,18 +112,8 @@ def _task_map(n_tasks: int):
     # before it starts its own manager thread.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     chunksize = min(8, max(1, n_tasks // (4 * workers)))
-
-    def pool_map(fn, tasks):
-        tasks, sent = iter(tasks), collections.deque()
-        while chunk := list(itertools.islice(tasks, chunksize)):
-            sent.append(pool.submit(_run_chunk, fn, chunk))
-            if len(sent) == 4 * workers:
-                yield from sent.popleft().result()
-        while sent:
-            yield from sent.popleft().result()
-
     try:
-        yield pool_map, workers
+        yield functools.partial(pool.map, chunksize=chunksize), workers
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -175,7 +158,7 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
         results = list(task_map(forecaster.fit_and_forecast, tasks))
     rows, curve_rows = [], []
     for frame, (predicted, report) in zip(usable, results):
-        pid, first_day = frame.product_id, frame.dates[-1] + dt.timedelta(days=1)
+        pid, first_day = frame.product_id, frame.start + dt.timedelta(days=len(frame))
         for i, value in enumerate(predicted):
             day = first_day + dt.timedelta(days=i)
             rows.append([pid, day.isoformat(), _fmt(value)])
@@ -241,13 +224,15 @@ def _build_criteria(qty: dict[str, pipeline.SeriesFrame],
         raise InputError("ranking needs at least 2 products present in sales and costs")
     x = np.zeros((len(ids), 2))
     for row, pid in enumerate(ids):
-        cost_by_date = dict(zip(costs[pid].dates, costs[pid].values))
-        profit = 0.0
-        volume = 0.0
-        for day, q, p in zip(qty[pid].dates, qty[pid].values, price[pid].values):
+        cost = costs[pid].values.tolist()
+        profit = volume = 0.0
+        # Sales day i is cost day i + shift; the sums run day by day, in order.
+        shift = (qty[pid].start - costs[pid].start).days
+        for day, (q, p) in enumerate(zip(qty[pid].values.tolist(), price[pid].values.tolist()),
+                                     start=shift):
             volume += q
-            if day in cost_by_date:
-                profit += q * (p - cost_by_date[day])
+            if 0 <= day < len(cost):
+                profit += q * (p - cost[day])
         x[row] = (profit, volume)
     return mcdm.CriteriaMatrix(ids, list(mcdm.DEFAULT_CRITERIA), x)
 
@@ -368,9 +353,8 @@ def cmd_evaluate(pred_path: Path, truth_path: Path) -> forecaster.MetricsReport:
     truth = pipeline.load_costs(str(truth_path))
     y, y_hat = [], []
     for _, (pid, day, predicted) in predictions:
-        frame = truth.get(pid)
-        if frame is not None and frame.dates[0] <= day <= frame.dates[-1]:
-            y.append(frame.values[(day - frame.dates[0]).days])
+        if pid in truth and 0 <= (offset := (day - truth[pid].start).days) < len(truth[pid]):
+            y.append(truth[pid].values[offset])
             y_hat.append(predicted)
     if not y:
         raise InputError("no overlapping (product_id, date) pairs between predictions and truth")

@@ -200,7 +200,7 @@ def next_week(frame: SeriesFrame, table: TermBoundaryTable,
               input_days: int = INPUT_DAYS) -> tuple[np.ndarray, np.ndarray]:
     """`history` and `terms` of the week after `frame` ends: its last
     `input_days` values and the term bits of the 7 days that follow."""
-    first_day = frame.dates[-1] + dt.timedelta(days=1)
+    first_day = frame.start + dt.timedelta(days=len(frame))
     return frame.values[-input_days:], encode_date_range(first_day, HORIZON_DAYS, table)
 
 

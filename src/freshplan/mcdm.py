@@ -85,8 +85,6 @@ class TopsisResult:
     scores: np.ndarray
     d_plus: np.ndarray
     d_minus: np.ndarray
-    ideal: np.ndarray
-    anti_ideal: np.ndarray
     ranking: list[str]
 
 
@@ -123,8 +121,6 @@ def topsis_scores(z, w, product_ids: list[str] | None = None) -> TopsisResult:
         scores=scores,
         d_plus=d_plus,
         d_minus=d_minus,
-        ideal=ideal,
-        anti_ideal=anti_ideal,
         ranking=[ids[i] for i in order],
     )
 

@@ -8,9 +8,12 @@ Forecasting windows pair 15 days of scaled history with the solar-term bit
 matrix of the following 7 days and those days' scaled values as the target;
 the window slides one day at a time.  `make_windows` returns them as one
 `Windows` record of stacked arrays, one row per window (histories [n, 15],
-terms [n, 7, 10], targets [n, 7], anchor dates), built from strided views of
-the scaled series and of its per-date term indices, so each date is looked up
-once.  A slice of the record is the record of those windows.
+terms [n, 7, 10], targets [n, 7]), built from strided views of the scaled
+series and of its per-date term indices, so each date is looked up once.  A
+slice of the record is the record of those windows.
+
+A `SeriesFrame` is a first day and one value per consecutive day, so it cannot
+hold a gap; the loader forward-fills one.
 """
 
 from __future__ import annotations
@@ -31,25 +34,26 @@ HORIZON_DAYS = 7
 
 @dataclass
 class SeriesFrame:
-    """One product's daily series on consecutive dates."""
+    """One product's daily series: `values[i]` is its value on `start` + i days."""
 
     product_id: str
-    dates: list[dt.date]
+    start: dt.date
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if len(self.dates) != len(self.values):
-            raise InputError(f"{self.product_id}: {len(self.dates)} dates vs {len(self.values)} values")
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if (cur - prev).days != 1:
-                raise InputError(f"{self.product_id}: dates must be consecutive days ({prev} -> {cur})")
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.values)
+
+    @property
+    def dates(self) -> list[dt.date]:
+        return [self.start + dt.timedelta(days=i) for i in range(len(self.values))]
 
     def slice(self, start: int, stop: int) -> "SeriesFrame":
-        return SeriesFrame(self.product_id, self.dates[start:stop], self.values[start:stop])
+        """Days `start` to `stop` (non-negative), their values a view of these."""
+        return SeriesFrame(self.product_id, self.start + dt.timedelta(days=start),
+                           self.values[start:stop])
 
 
 @dataclass
@@ -84,19 +88,17 @@ def fit_normalizer(values) -> Normalizer:
 class Windows:
     """Every one-day-stride window of one series, one row per window."""
 
-    histories: np.ndarray        # [n, input_days] scaled history
-    terms: np.ndarray            # [n, horizon, 10] term bits of the target days
-    targets: np.ndarray          # [n, horizon] scaled target
-    anchor_dates: list[dt.date]  # first target day of each window
+    histories: np.ndarray  # [n, input_days] scaled history
+    terms: np.ndarray      # [n, horizon, 10] term bits of the target days
+    targets: np.ndarray    # [n, horizon] scaled target
 
     def __len__(self) -> int:
-        return len(self.anchor_dates)
+        return len(self.targets)
 
     def __getitem__(self, key: slice) -> "Windows":
         if not isinstance(key, slice):
             raise TypeError(f"Windows take a slice, got {type(key).__name__}")
-        return Windows(self.histories[key], self.terms[key], self.targets[key],
-                       self.anchor_dates[key])
+        return Windows(self.histories[key], self.terms[key], self.targets[key])
 
 
 def make_windows(
@@ -119,9 +121,9 @@ def make_windows(
     window = np.lib.stride_tricks.sliding_window_view
     return Windows(
         histories=np.ascontiguousarray(window(scaled[:n - horizon], input_days)),
-        terms=TERM_CODES[window(table.term_indices(costs.dates[input_days:]), horizon)],
+        terms=TERM_CODES[window(table.term_indices(
+            costs.start + dt.timedelta(days=input_days), n - input_days), horizon)],
         targets=np.ascontiguousarray(window(scaled[input_days:], horizon)),
-        anchor_dates=costs.dates[input_days:n - horizon + 1],
     )
 
 
@@ -267,9 +269,9 @@ def _load_series(path: str, schema: Schema) -> list[dict[str, SeriesFrame]]:
         rows.sort(key=lambda row: row[0])
         # A row's values hold from its date up to the next row's date.
         spans = [(later[0] - row[0]).days for row, later in zip(rows, rows[1:])] + [1]
-        dates = [rows[0][0] + dt.timedelta(days=i) for i in range(sum(spans))]
         for col, column_frames in enumerate(frames, start=2):
-            column_frames[pid] = SeriesFrame(pid, dates, np.repeat([row[col] for row in rows], spans))
+            column_frames[pid] = SeriesFrame(pid, rows[0][0],
+                                             np.repeat([row[col] for row in rows], spans))
     return frames
 
 
@@ -354,8 +356,8 @@ def generate_synthetic(
     table = table if table is not None else TermBoundaryTable()
     params = params if params is not None else SyntheticParams()
 
-    dates = [params.start_date + dt.timedelta(days=i) for i in range(days)]
-    term_idx = table.term_indices(dates)
+    start = params.start_date
+    term_idx = table.term_indices(start, days)
 
     width = len(str(max(product_count - 1, 1)))
     costs, sales, prices = {}, {}, {}
@@ -385,7 +387,7 @@ def generate_synthetic(
             0.0, params.sales_noise_fraction * intercept, size=days)
         quantity = np.maximum(quantity, 0.0)
 
-        costs[pid] = SeriesFrame(pid, dates, np.round(cost, 6))
-        prices[pid] = SeriesFrame(pid, dates, np.round(price, 6))
-        sales[pid] = SeriesFrame(pid, dates, np.round(quantity, 6))
+        costs[pid] = SeriesFrame(pid, start, np.round(cost, 6))
+        prices[pid] = SeriesFrame(pid, start, np.round(price, 6))
+        sales[pid] = SeriesFrame(pid, start, np.round(quantity, 6))
     return costs, sales, prices

@@ -4,8 +4,8 @@ Each Gregorian date is mapped to the index of one of the 24 terms (named in
 `TERM_NAMES`, starting at Li Chun) via a (month, day) boundary table, and each
 term is encoded as a 10-bit two-hot vector: 4 season bits followed by 6
 within-season position bits.  Seasons are blocks of six consecutive terms.
-`TERM_CODES` holds the 24 codes as rows, so a run of dates is encoded by one
-table lookup per date (`TermBoundaryTable.term_indices`) and one row index.
+`TERM_CODES` holds the 24 codes as rows, so a run of days is encoded by one
+array lookup (`TermBoundaryTable.term_indices`) and one row index.
 """
 
 from __future__ import annotations
@@ -63,13 +63,16 @@ class TermBoundaryTable:
         if len(set(self._keys.tolist())) != len(ordered):
             raise InputError("boundary table has duplicate dates")
 
-    def term_indices(self, dates) -> np.ndarray:
-        """Term index of each date: that of the last boundary at or before its
-        (month, day).  Dates before the year's first boundary wrap around to
-        the last term of the calendar year (index -1 of the sorted keys)."""
-        keys = np.array([100 * day.month + day.day for day in dates], dtype=np.int64)
+    def term_indices(self, start: dt.date, days: int) -> np.ndarray:
+        """Term index of each of `days` consecutive dates from `start`: that of
+        the last boundary at or before its (month, day).  Dates before the
+        year's first boundary wrap around to the last term of the calendar year
+        (index -1 of the sorted keys)."""
+        d = np.datetime64(start, "D") + np.arange(days)
+        m = d.astype("datetime64[M]")
+        # Months since 1970-01 floor-mod 12 is the month less one, at any year.
+        keys = 100 * (m.astype(np.int64) % 12 + 1) + (d - m).astype(np.int64) + 1
         return self._terms[np.searchsorted(self._keys, keys, side="right") - 1]
-
 
 
 def encode_date_range(start: dt.date, days: int, table: TermBoundaryTable | None = None) -> np.ndarray:
@@ -77,4 +80,4 @@ def encode_date_range(start: dt.date, days: int, table: TermBoundaryTable | None
     if days < 1:
         raise InputError(f"days must be >= 1, got {days}")
     table = table if table is not None else TermBoundaryTable()
-    return TERM_CODES[table.term_indices(start + dt.timedelta(days=i) for i in range(days))]
+    return TERM_CODES[table.term_indices(start, days)]

@@ -4,8 +4,8 @@ Most are brute force, deliberately written with plain Python loops, separate
 from the vectorized library code they check.  Where a test pins the bits of a
 rewrite, the reference is the earlier vectorized form of the same arithmetic
 (`adam_reference`, `topo_order_reference`, `residual_block_reference`,
-`attention_reference`, `gaussian_mutate_reference`).  `holdout_mse` and
-`naive_mse` are A7's two error measures.
+`attention_reference`, `gaussian_mutate_reference`, `term_indices_reference`).
+`holdout_mse` and `naive_mse` are A7's two error measures.
 """
 
 import datetime as dt
@@ -197,33 +197,37 @@ def term_bits_reference(index: int) -> list[float]:
     return bits
 
 
-def windows_reference(dates, scaled, entries, input_days: int, horizon: int):
-    """Every one-day-stride window of an already scaled series, one at a time:
-    (history, term bits of the target days, target, anchor date) tuples."""
+def windows_reference(start, scaled, entries, input_days: int, horizon: int):
+    """Every one-day-stride window of an already scaled series whose first day
+    is `start`, one at a time: (history, term bits of the target days, target)
+    tuples."""
     samples = []
-    for k in range(len(dates) - input_days - horizon + 1):
-        anchor = dates[k + input_days]
+    for k in range(len(scaled) - input_days - horizon + 1):
+        anchor = start + dt.timedelta(days=k + input_days)
         terms = [term_bits_reference(term_index_reference(anchor + dt.timedelta(days=i), entries))
                  for i in range(horizon)]
         samples.append((np.array(scaled[k:k + input_days]), np.array(terms),
-                        np.array(scaled[k + input_days:k + input_days + horizon]), anchor))
+                        np.array(scaled[k + input_days:k + input_days + horizon])))
     return samples
+
+
+def term_indices_reference(table, dates) -> np.ndarray:
+    """`table`'s term index of each date, from a per-date (month, day) key."""
+    keys = np.array([100 * day.month + day.day for day in dates], dtype=np.int64)
+    return table._terms[np.searchsorted(table._keys, keys, side="right") - 1]
 
 
 def adam_reference(params, grads_per_step, lr: float, beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8):
     """Adam tensor by tensor: the parameter values after each step.
 
-    `grads_per_step` lists one gradient (or None, which leaves that tensor and
-    its moments as they are) per parameter and step."""
+    `grads_per_step` lists one gradient per parameter and step."""
     data = [np.array(p, dtype=np.float64) for p in params]
     m = [np.zeros_like(p) for p in data]
     v = [np.zeros_like(p) for p in data]
     history = []
     for t, grads in enumerate(grads_per_step, start=1):
         for i, g in enumerate(grads):
-            if g is None:
-                continue
             m[i] = beta1 * m[i] + (1.0 - beta1) * g
             v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
             m_hat = m[i] / (1.0 - beta1 ** t)

@@ -670,22 +670,17 @@ class TestWorkerPool:
         assert read_rows(tmp_path / "intervals.csv") == weekly
         assert read_rows(tmp_path / "intervals_daily.csv") == daily
 
-    def test_pool_takes_tasks_only_as_results_are_read(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        taken = []
-
-        def tasks():
-            for i in range(400):
-                taken.append(i)
-                yield -i
-
-        with cli._task_map(400) as (task_map, jobs):
-            assert jobs == 2
-            for read, value in enumerate(task_map(abs, tasks()), start=1):
-                assert value == read - 1
-                # at most 4 chunks of 8 tasks per worker sent and unread
-                assert len(taken) - read < 4 * 2 * 8
-        assert len(taken) == 400
+    def test_replica_task_series_is_a_start_day_and_a_values_view(self):
+        """The pool takes every replica task at once, so a task must stay
+        light: its series shares the product frame's values and holds no
+        per-day list."""
+        _, sales, _ = pipeline.generate_synthetic(1, 90, seed=3)
+        (frame,) = sales.values()
+        tasks = intervals.replica_tasks(frame, intervals.BootstrapConfig(replicas=6),
+                                        ModelConfig(channels=4, kernel=2, dilations=[1]))
+        for task in tasks:
+            assert np.shares_memory(task.series.values, frame.values)
+            assert [type(v) for v in vars(task.series).values()] == [str, dt.date, np.ndarray]
 
     @pytest.mark.parametrize("stage", ["forecast", "intervals"])
     @pytest.mark.parametrize("error,code", [(InvariantError, 2), (InputError, 1)])

@@ -22,9 +22,8 @@ TINY = ModelConfig(channels=4, kernel=2, dilations=[1])
 
 def sales_frame(days=120, seed=0):
     rng = np.random.default_rng(seed)
-    dates = [dt.date(2023, 1, 1) + dt.timedelta(days=i) for i in range(days)]
     values = 40.0 + 6.0 * np.sin(np.arange(days) / 9.0) + rng.normal(0, 1.5, days)
-    return SeriesFrame("S", dates, np.maximum(values, 0.0))
+    return SeriesFrame("S", dt.date(2023, 1, 1), np.maximum(values, 0.0))
 
 
 class TestNormalQuantile:
@@ -44,7 +43,7 @@ class TestNormalQuantile:
 
 def slices(tasks, frame):
     """(start, length) of each task's training frame within `frame`."""
-    return [((task.series.dates[0] - frame.dates[0]).days, len(task.series)) for task in tasks]
+    return [((task.series.start - frame.start).days, len(task.series)) for task in tasks]
 
 
 class TestBootstrapTrain:

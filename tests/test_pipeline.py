@@ -20,15 +20,14 @@ from freshplan.pipeline import (
     write_costs,
     write_sales,
 )
-from freshplan.solarterms import DEFAULT_BOUNDARIES, TermBoundaryTable
+from freshplan.solarterms import DEFAULT_BOUNDARIES, TermBoundaryTable, encode_date_range
 
 
 MICRO_UNITS = st.integers(0, 10**12).map(lambda k: k / 1e6)  # exact at the writers' 6 decimals
 
 
 def frame_of(values, start=dt.date(2023, 1, 1), pid="P"):
-    dates = [start + dt.timedelta(days=i) for i in range(len(values))]
-    return SeriesFrame(pid, dates, np.asarray(values, dtype=float))
+    return SeriesFrame(pid, start, np.asarray(values, dtype=float))
 
 
 class TestNormalizer:
@@ -95,7 +94,8 @@ class TestWindows:
         for k in range(len(windows)):
             joined = np.concatenate([windows.histories[k], windows.targets[k]])
             assert np.array_equal(joined, scaled[k:k + 22])
-            assert windows.anchor_dates[k] == frame.dates[k + 15]
+            anchor = frame.start + dt.timedelta(days=k + 15)
+            assert np.array_equal(windows.terms[k], encode_date_range(anchor, 7))
             assert windows.terms[k].shape == (7, 10)
             assert np.all(windows.terms[k].sum(axis=1) == 2)
 
@@ -114,7 +114,7 @@ class TestWindows:
         # Fit on a prefix, as A7 does, so scaled values also fall outside [0, 1].
         normalizer = fit_normalizer(frame.values[:length // 2 + 1])
         windows = make_windows(frame, TermBoundaryTable(entries), normalizer=normalizer)
-        reference = windows_reference(frame.dates, normalizer.normalize(frame.values), entries, 15, 7)
+        reference = windows_reference(frame.start, normalizer.normalize(frame.values), entries, 15, 7)
         for arr in (windows.histories, windows.terms, windows.targets):
             assert arr.flags.c_contiguous
         cut = int(rng.integers(0, len(reference) + 1))
@@ -124,8 +124,7 @@ class TestWindows:
             assert part.histories.shape == (len(samples), 15)
             assert part.terms.shape == (len(samples), 7, 10)
             assert part.targets.shape == (len(samples), 7)
-            assert part.anchor_dates == [anchor for *_, anchor in samples]
-            for k, (history, terms, target, _) in enumerate(samples):
+            for k, (history, terms, target) in enumerate(samples):
                 assert np.array_equal(part.histories[k], history)
                 assert np.array_equal(part.terms[k], terms)
                 assert np.array_equal(part.targets[k], target)
@@ -216,12 +215,6 @@ class TestCsvRoundtrip:
         path.write_text("date,product,cost\n2023-01-01,A,1.0\n")
         with pytest.raises(InputError):
             load_costs(str(path))
-
-
-def test_series_frame_rejects_gapped_dates():
-    dates = [dt.date(2023, 1, 1), dt.date(2023, 1, 3)]
-    with pytest.raises(InputError):
-        SeriesFrame("P", dates, np.array([1.0, 2.0]))
 
 
 def test_readme_file_formats_match_schemas():

@@ -2,15 +2,17 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from oracles import term_indices_reference
 
 from freshplan.errors import InputError
 from freshplan.pipeline import load_boundaries
-from freshplan.solarterms import TERM_CODES, TERM_NAMES, TermBoundaryTable, encode_date_range
+from freshplan.solarterms import (DEFAULT_BOUNDARIES, TERM_CODES, TERM_NAMES, TermBoundaryTable,
+                                  encode_date_range)
 
 
 def term_index(day: dt.date) -> int:
-    return int(TermBoundaryTable().term_indices([day])[0])
+    return int(TermBoundaryTable().term_indices(day, 1)[0])
 
 
 def test_published_encodings():
@@ -49,12 +51,25 @@ def test_term_of_date(day, expected):
 
 def test_full_year_visits_all_terms_in_cyclic_order():
     start = dt.date(2023, 2, 4)  # Li Chun
-    indices = TermBoundaryTable().term_indices(
-        start + dt.timedelta(days=i) for i in range(365)).tolist()
+    indices = TermBoundaryTable().term_indices(start, 365).tolist()
     # no gaps: consecutive days move by 0 or to the next term mod 24
     for a, b in zip(indices, indices[1:]):
         assert b in (a, (a + 1) % 24)
     assert set(indices) == set(range(24))
+
+
+@given(start=st.dates(dt.date(1900, 1, 1), dt.date(2100, 12, 31)), days=st.integers(1, 900),
+       entries=st.one_of(st.just(DEFAULT_BOUNDARIES), st.permutations(DEFAULT_BOUNDARIES)))
+@example(start=dt.date(2024, 2, 27), days=5, entries=DEFAULT_BOUNDARIES)  # Feb 29
+@example(start=dt.date(2100, 2, 27), days=4, entries=DEFAULT_BOUNDARIES)  # no Feb 29
+# Jan 1-5 precede the year's first boundary and wrap to the last term before them.
+@example(start=dt.date(2022, 12, 20), days=40, entries=DEFAULT_BOUNDARIES)
+@example(start=dt.date(1900, 1, 1), days=1, entries=DEFAULT_BOUNDARIES[::-1])
+def test_term_indices_match_per_date_lookup(start, days, entries):
+    table = TermBoundaryTable(entries)
+    dates = [start + dt.timedelta(days=i) for i in range(days)]
+    assert table.term_indices(start, days).tolist() == \
+        term_indices_reference(table, dates).tolist()
 
 
 def test_encode_date_range_boundary_crossing():
