@@ -73,7 +73,7 @@ def _boundary_table(config: RunConfig) -> TermBoundaryTable:
 
 
 def cmd_synth(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
-    started = manifest.start_stage("synth")
+    started = time.perf_counter()
     table = _boundary_table(config)
     costs, sales, prices = pipeline.generate_synthetic(
         config.synth.products, config.synth.days, derive_seed(config.seed, "synth"), table)
@@ -141,7 +141,7 @@ def _training_totals(reports: list[forecaster.TrainReport]) -> dict:
 
 
 def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
-    started = manifest.start_stage("forecast")
+    started = time.perf_counter()
     table = _boundary_table(config)
     costs_path = out_dir / config.paths.costs
     frames = pipeline.load_costs(str(costs_path))
@@ -176,7 +176,7 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
 
 
 def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
-    started = manifest.start_stage("intervals")
+    started = time.perf_counter()
     table = _boundary_table(config)
     sales_path = out_dir / config.paths.sales
     qty_frames, _ = pipeline.load_sales(str(sales_path))
@@ -238,7 +238,7 @@ def _build_criteria(qty: dict[str, pipeline.SeriesFrame],
 
 
 def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
-    started = manifest.start_stage("rank")
+    started = time.perf_counter()
     sales_path = out_dir / config.paths.sales
     costs_path = out_dir / config.paths.costs
     qty_frames, price_frames = pipeline.load_sales(str(sales_path))
@@ -262,7 +262,7 @@ def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
 
 def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
                  baseline: str | None = None) -> None:
-    started = manifest.start_stage("optimize")
+    started = time.perf_counter()
     intervals_path = out_dir / config.paths.intervals
     ranking = pipeline.read_csv(out_dir / config.paths.ranking, pipeline.RANKING)  # in rank order
     forecasts = pipeline.read_csv(out_dir / config.paths.forecast, pipeline.FORECAST)
@@ -371,6 +371,7 @@ STAGES = {
     "forecast": cmd_forecast,
     "intervals": cmd_intervals,
     "rank": cmd_rank,
+    "optimize": cmd_optimize,
 }
 
 RUN_ALL_ORDER = ["synth", "forecast", "intervals", "rank", "optimize"]
@@ -421,16 +422,9 @@ def run(argv: list[str] | None = None) -> int:
     _check_artifact_dirs(config, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config, out_dir)
-    if args.command == "run-all":
-        for name in RUN_ALL_ORDER:
-            if name == "optimize":
-                cmd_optimize(config, out_dir, manifest, baseline=args.baseline)
-            else:
-                STAGES[name](config, out_dir, manifest)
-    elif args.command == "optimize":
-        cmd_optimize(config, out_dir, manifest, baseline=args.baseline)
-    else:
-        STAGES[args.command](config, out_dir, manifest)
+    for name in RUN_ALL_ORDER if args.command == "run-all" else [args.command]:
+        baseline = {"baseline": args.baseline} if name == "optimize" else {}
+        STAGES[name](config, out_dir, manifest, **baseline)
     manifest.write()
     return 0
 

@@ -1,10 +1,14 @@
 """Run configuration, seed derivation, and the run manifest.
 
 Configuration lives in a flat key=value text file; command-line flags override
-file values.  All stage randomness derives from the single top-level seed by
-hashing the stage name and task identifiers (product id, replica index) into
-per-task seeds, so stages are reproducible in isolation and insensitive to
-scheduling order.
+file values.  The sections (`tcn`, `train`, `bootstrap`, `ga`, ...) are plain
+dataclasses of defaults; `RULES` is the one table of the values each key
+accepts, and `load_config` checks every key against it once, after the last
+override, so a bad value fails there, naming its key, its bound and the value.
+All stage randomness derives from the single top-level seed by hashing the
+stage name and task identifiers (product id, replica index) into per-task
+seeds, so stages are reproducible in isolation and insensitive to scheduling
+order.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +62,47 @@ class PathsConfig:
     boundaries: str = ""   # optional solar-term boundary override CSV
 
 
+def _at_least(low: int) -> tuple:
+    return (lambda v: v >= low), f">= {low}"
+
+
+_LR = (lambda v: 0.0 < v < math.inf), "finite and > 0"  # NaN fails every comparison
+_DILATIONS = (lambda v: min(v, default=0) >= 1), "non-empty, each >= 1"
+_PROBABILITY = (lambda v: 0.0 <= v <= 1.0), "in [0, 1]"
+
+# The values every key accepts: (flat key, test of the typed value, bound text).
+# `seed` takes any integer, and an empty `paths.boundaries` means the built-in table.
+RULES = [
+    ("window.input_days", *_at_least(1)),
+    ("tcn.channels", *_at_least(1)),
+    ("tcn.kernel", *_at_least(1)),
+    ("tcn.dilations", *_DILATIONS),
+    ("train.epochs", *_at_least(0)),
+    ("train.lr", *_LR),
+    ("train.batch_size", lambda v: v >= 0, ">= 0 (0 = full batch)"),
+    ("bootstrap.replicas", *_at_least(1)),
+    ("bootstrap.min_fraction", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    ("bootstrap.level", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("bootstrap.channels", *_at_least(1)),
+    ("bootstrap.dilations", *_DILATIONS),
+    ("bootstrap.epochs", *_at_least(0)),
+    ("bootstrap.lr", *_LR),
+    ("topsis.top_k", *_at_least(1)),
+    ("ga.pop", *_at_least(1)),
+    ("ga.gens", *_at_least(0)),
+    ("ga.tournament", *_at_least(1)),
+    ("ga.elitism", lambda v: v in (0, 1), "0 or 1"),
+    ("ga.crossover_rate", *_PROBABILITY),
+    ("ga.mutation_prob", *_PROBABILITY),
+    ("ga.sigma_fraction", lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    ("ga.sigma_decay", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    ("synth.products", *_at_least(1)),
+    ("synth.days", *_at_least(30)),
+    *((f"paths.{f.name}", bool, "non-empty") for f in dataclasses.fields(PathsConfig)
+      if f.name != "boundaries"),
+]
+
+
 @dataclass
 class RunConfig:
     seed: int = 42
@@ -70,35 +116,23 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     def validate(self) -> None:
-        # Each section checked itself when built; `apply_setting` sets fields after that.
-        self.ga.validate()
-        self.tcn.validate()
-        self.train.validate()
-        self.bootstrap.validate()
-        checks = [
-            (self.window.input_days >= 1, "window.input_days must be >= 1"),
-            (self.topsis.top_k >= 1, "topsis.top_k must be >= 1"),
-            (self.synth.products >= 1, "synth.products must be >= 1"),
-            (self.synth.days >= 30, "synth.days must be >= 30"),
-        ]
-        # an empty boundaries path means no override; any other path names a file
-        checks += [(getattr(self.paths, f.name) != "", f"paths.{f.name} must not be empty")
-                   for f in dataclasses.fields(self.paths) if f.name != "boundaries"]
-        for ok, message in checks:
-            if not ok:
-                raise InputError(message)
+        """Raise `InputError` for the first key, in `RULES` order, whose value
+        its rule rejects."""
+        values = dict(self._items())
+        for key, ok, bound in RULES:
+            if not ok(values[key]):
+                raise InputError(f"{key} must be {bound}, got {values[key]!r}")
 
     def flat_items(self) -> list[tuple[str, str]]:
-        items: list[tuple[str, str]] = [("seed", str(self.seed))]
+        return [(key, ",".join(map(str, value)) if isinstance(value, list) else str(value))
+                for key, value in self._items()]
+
+    def _items(self):
+        """(flat key, typed value) of every key, `seed` first, then by section."""
+        yield "seed", self.seed
         for section_name, section in self._sections().items():
             for f in dataclasses.fields(section):
-                value = getattr(section, f.name)
-                if isinstance(value, list):
-                    text = ",".join(str(v) for v in value)
-                else:
-                    text = str(value)
-                items.append((f"{section_name}.{f.name}", text))
-        return items
+                yield f"{section_name}.{f.name}", getattr(section, f.name)
 
     def _sections(self) -> dict[str, object]:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "seed"}
@@ -184,9 +218,6 @@ class RunManifest:
 
     def note_input(self, name: str, path: str | Path) -> None:
         self.data["inputs"][name] = {"path": str(path), "sha256": file_digest(path)}
-
-    def start_stage(self, name: str) -> float:
-        return time.perf_counter()
 
     def end_stage(self, name: str, started: float, outputs: list[str], **extra) -> None:
         self.data["stages"][name] = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import datetime as dt
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,51 +29,23 @@ TERM_WIDTH = 10
 
 @dataclass
 class ModelConfig:
-    """The model's shape, which is also the run config's `tcn.*` keys.
-
-    `section` names the config section in error messages: the replicas' model
-    (`intervals.BootstrapConfig.model`) takes its channels and dilations from
-    `bootstrap`, and its kernel from `tcn`.
-    """
+    """The model's shape, which is also the run config's `tcn.*` keys (their
+    accepted values are in `config.RULES`); the replicas' shape is
+    `intervals.BootstrapConfig.model`."""
 
     channels: int = 16
     kernel: int = 3
     dilations: list[int] = field(default_factory=lambda: [1, 2])
-    section: InitVar[str] = "tcn"
-
-    def __post_init__(self, section: str):
-        self.validate(section)
-
-    def validate(self, section: str = "tcn") -> None:
-        if self.channels < 1:
-            raise InputError(f"{section}.channels must be >= 1, got {self.channels}")
-        if self.kernel < 1:
-            raise InputError(f"tcn.kernel must be >= 1, got {self.kernel}")
-        if min(self.dilations, default=0) < 1:
-            raise InputError(f"{section}.dilations must be non-empty, each >= 1, "
-                             f"got {self.dilations}")
 
 
 @dataclass
 class TrainConfig:
-    """Training settings, which are also the run config's `train.*` keys."""
+    """Training settings, which are also the run config's `train.*` keys
+    (their accepted values are in `config.RULES`)."""
 
     epochs: int = 100
     lr: float = 1e-3
     batch_size: int = 64  # 0 = full batch
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        checks = [
-            ("epochs", self.epochs >= 0, ">= 0"),
-            ("lr", 0.0 < self.lr < np.inf, "finite and > 0"),
-            ("batch_size", self.batch_size >= 0, ">= 0 (0 = full batch)"),
-        ]
-        for name, ok, bound in checks:
-            if not ok:
-                raise InputError(f"train.{name} must be {bound}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -165,7 +165,8 @@ class GenerationStats:
 
 @dataclass
 class GaConfig:
-    """The GA's settings, which are also the run config's `ga.*` keys."""
+    """The GA's settings, which are also the run config's `ga.*` keys (their
+    accepted values are in `config.RULES`)."""
 
     pop: int = 200
     gens: int = 500
@@ -175,24 +176,6 @@ class GaConfig:
     mutation_prob: float = 0.1   # per-gene mutation probability
     sigma_fraction: float = 0.1  # Gaussian sigma as a fraction of the gene's box width
     sigma_decay: float = 0.995   # multiplicative sigma decay per generation
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        checks = [
-            ("pop", self.pop >= 1, ">= 1"),
-            ("gens", self.gens >= 0, ">= 0"),
-            ("tournament", self.tournament >= 1, ">= 1"),
-            ("elitism", self.elitism in (0, 1), "0 or 1"),
-            ("crossover_rate", 0.0 <= self.crossover_rate <= 1.0, "in [0, 1]"),
-            ("mutation_prob", 0.0 <= self.mutation_prob <= 1.0, "in [0, 1]"),
-            ("sigma_fraction", 0.0 <= self.sigma_fraction < math.inf, "finite and >= 0"),
-            ("sigma_decay", 0.0 < self.sigma_decay <= 1.0, "in (0, 1]"),
-        ]
-        for name, ok, bound in checks:
-            if not ok:
-                raise InputError(f"ga.{name} must be {bound}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -31,22 +31,16 @@ from .pipeline import HORIZON_DAYS, INPUT_DAYS, SeriesFrame
 from .solarterms import TermBoundaryTable
 
 
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF."""
+def z_for_level(level: float) -> float:
+    """Two-sided z multiplier for a central confidence level in (0, 1): the
+    inverse standard normal CDF at (1 + level) / 2."""
     # Imported here: `statistics` adds ~3 ms to the start of every CLI stage,
     # and only the intervals stage needs it.
     from statistics import NormalDist
 
-    if not 0.0 < p < 1.0:
-        raise InputError(f"quantile probability must be in (0, 1), got {p}")
-    return NormalDist().inv_cdf(p)
-
-
-def z_for_level(level: float) -> float:
-    """Two-sided z multiplier for a central confidence level in (0, 1)."""
     if not 0.0 < level < 1.0:
         raise InputError(f"confidence level must be in (0, 1), got {level}")
-    return normal_quantile(0.5 * (1.0 + level))
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 @dataclass
@@ -75,8 +69,9 @@ REPLICA_BATCH_SIZE = 64
 @dataclass
 class BootstrapConfig:
     """The ensemble's settings, which are also the run config's `bootstrap.*`
-    keys.  The replicas are reduced-capacity base learners, as interval
-    quality rests on ensemble diversity, not on per-replica depth."""
+    keys (their accepted values are in `config.RULES`).  The replicas are
+    reduced-capacity base learners, as interval quality rests on ensemble
+    diversity, not on per-replica depth."""
 
     replicas: int = 100
     min_fraction: float = 0.7
@@ -86,25 +81,9 @@ class BootstrapConfig:
     epochs: int = 30
     lr: float = 1e-2
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        checks = [
-            ("replicas", self.replicas >= 1, ">= 1"),
-            ("min_fraction", 0.0 < self.min_fraction <= 1.0, "in (0, 1]"),
-            ("level", 0.0 < self.level < 1.0, "in (0, 1)"),
-            ("epochs", self.epochs >= 0, ">= 0"),
-            ("lr", 0.0 < self.lr < math.inf, "finite and > 0"),
-        ]
-        for name, ok, bound in checks:
-            if not ok:
-                raise InputError(f"bootstrap.{name} must be {bound}, got {getattr(self, name)}")
-        self.model(kernel=1)  # checks channels and dilations; the kernel is a `tcn` key
-
     def model(self, kernel: int) -> ModelConfig:
         """The replicas' model: these channels and dilations with `kernel`."""
-        return ModelConfig(self.channels, kernel, list(self.dilations), section="bootstrap")
+        return ModelConfig(self.channels, kernel, list(self.dilations))
 
 
 def replica_tasks(sales: SeriesFrame, config: BootstrapConfig, model: ModelConfig, seed: int = 0,

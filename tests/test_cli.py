@@ -871,7 +871,7 @@ class TestConfigValues:
         assert exit_code(monkeypatch, ["--out", str(out), *settings, "run-all"]) == code
         assert "Traceback" not in caplog.text + capsys.readouterr().err
         if code == 1:
-            assert f"{key} must" in caplog.text
+            assert f"{key} must be " in caplog.text and ", got " in caplog.text
             assert not out.exists()
         else:
             assert "training loss diverged" in caplog.text

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from freshplan.config import RunConfig, apply_setting, derive_seed, load_config
+from freshplan.config import RULES, RunConfig, apply_setting, derive_seed, load_config
 from freshplan.errors import InputError
 
 
@@ -108,11 +108,20 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(42, "intervals", "P01") != derive_seed(42, "forecast", "P01")
 
 
-def test_readme_default_keys_match_config():
+def readme_config_keys() -> dict[str, tuple[str, str]]:
+    """README's "Default config keys" block as {key: (default, accepted values)}."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Default config keys", 1)[1].split("```")[1]
-    documented = dict(re.findall(r"(?:^|\s)([a-z_]+(?:\.[a-z_]+)?)=(\S*)", block))
-    defaults = dict(RunConfig().flat_items())
-    assert {key: defaults.get(key) for key in documented} == documented
-    # the paths.* keys are abbreviated in README
-    assert {key for key in defaults if not key.startswith("paths.")} <= set(documented)
+    lines = [re.fullmatch(r"([a-z_.]+)=(\S*)\s*(.*)", line) for line in block.strip().splitlines()]
+    return {m[1]: (m[2], m[3]) for m in lines}
+
+
+def test_readme_default_keys_match_config():
+    documented = {key: default for key, (default, _) in readme_config_keys().items()}
+    assert documented == dict(RunConfig().flat_items())
+
+
+def test_readme_config_bounds_match_rules():
+    documented = {key: bound for key, (_, bound) in readme_config_keys().items()}
+    assert {key: documented.get(key) for key, _, _ in RULES} == \
+        {key: bound for key, _, bound in RULES}

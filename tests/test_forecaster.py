@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import os
 import pickle
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import topo_order_reference
 
 from freshplan import autodiff as ad, forecaster, pipeline
+from freshplan.config import RunConfig, load_config
 from freshplan.errors import InputError
 from freshplan.forecaster import (
     ForecasterModel,
@@ -41,14 +43,15 @@ def toy_model(frame, seed=0, config=MICRO):
 
 
 @pytest.mark.parametrize("fields,message", [
-    ({"dilations": []}, "tcn.dilations must be non-empty"),
-    ({"channels": 0}, "tcn.channels must be >= 1"),
-    ({"kernel": 0}, "tcn.kernel must be >= 1"),
-    ({"channels": 0, "section": "bootstrap"}, "bootstrap.channels must be >= 1"),
+    ({"tcn.dilations": ""}, "tcn.dilations must be non-empty"),
+    ({"tcn.channels": 0}, "tcn.channels must be >= 1"),
+    ({"tcn.kernel": 0}, "tcn.kernel must be >= 1"),
+    ({"bootstrap.channels": 0}, "bootstrap.channels must be >= 1"),
 ])
 def test_bad_model_config_rejected(fields, message):
+    """A bad model shape fails where the config enters, naming the key it came from."""
     with pytest.raises(InputError, match=message):
-        ModelConfig(**fields)
+        load_config(None, [f"{key}={value}" for key, value in fields.items()])
 
 
 @pytest.mark.parametrize("config_type,fields,message", [
@@ -59,8 +62,12 @@ def test_bad_model_config_rejected(fields, message):
      re.escape("train.batch_size must be >= 0 (0 = full batch), got -1")),
 ])
 def test_bad_training_config_rejected(config_type, fields, message):
+    """`fields` of the run config section that holds a `config_type`, set through
+    `load_config`."""
+    section = next(f.name for f in dataclasses.fields(RunConfig)
+                   if f.type == config_type.__name__)
     with pytest.raises(InputError, match=message):
-        config_type(**fields)
+        load_config(None, [f"{section}.{name}={value}" for name, value in fields.items()])
 
 
 class TestTrain:

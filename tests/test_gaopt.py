@@ -13,6 +13,7 @@ from oracles import (gaussian_mutate_reference, gene_boxes_reference, generation
 from test_acceptance import _instance_32
 
 from freshplan import gaopt
+from freshplan.config import load_config
 from freshplan.demand import DemandCurve
 from freshplan.errors import InputError, InvariantError
 from freshplan.gaopt import (
@@ -262,11 +263,13 @@ class TestGaConfig:
         ("sigma_fraction", float("nan")), ("sigma_fraction", float("inf"))])
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(InputError, match=f"ga.{field} "):
-            GaConfig(**{field: value})
+            load_config(None, [f"ga.{field}={value}"])
 
     def test_edges_accepted(self):
-        GaConfig(pop=1, gens=0, tournament=1, elitism=0, crossover_rate=0.0)
-        GaConfig(crossover_rate=1.0)
+        config = load_config(None, ["ga.pop=1", "ga.gens=0", "ga.tournament=1", "ga.elitism=0",
+                                    "ga.crossover_rate=0"])
+        assert config.ga == GaConfig(pop=1, gens=0, tournament=1, elitism=0, crossover_rate=0.0)
+        assert load_config(None, ["ga.crossover_rate=1"]).ga.crossover_rate == 1.0
 
 
 class TestEvolve:

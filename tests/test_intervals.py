@@ -10,7 +10,6 @@ from freshplan.forecaster import ModelConfig
 from freshplan.intervals import (
     BootstrapConfig,
     bootstrap_train,
-    normal_quantile,
     predict_interval,
     z_for_level,
 )
@@ -27,18 +26,18 @@ def sales_frame(days=120, seed=0):
 
 
 class TestNormalQuantile:
-    @pytest.mark.parametrize("p", [1e-6, 0.01, 0.025, 0.2, 0.5, 0.8, 0.975, 0.99, 1 - 1e-6])
-    def test_matches_scipy(self, p):
-        assert normal_quantile(p) == pytest.approx(scipy.stats.norm.ppf(p), abs=1e-8)
+    @pytest.mark.parametrize("level", [1e-6, 0.01, 0.025, 0.2, 0.5, 0.8, 0.975, 0.99, 1 - 1e-6])
+    def test_matches_scipy(self, level):
+        assert z_for_level(level) == pytest.approx(scipy.stats.norm.ppf(0.5 * (1.0 + level)),
+                                                   abs=1e-8)
 
     def test_two_sided_level(self):
         assert z_for_level(0.95) == pytest.approx(1.959964, abs=1e-5)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InputError):
-            normal_quantile(0.0)
-        with pytest.raises(InputError):
-            z_for_level(1.0)
+        for level in (-1.0, 0.0, 1.0):  # -1 asks for the quantile at probability 0
+            with pytest.raises(InputError):
+                z_for_level(level)
 
 
 def slices(tasks, frame):
