@@ -13,9 +13,7 @@ import sys
 import numpy as np
 
 from freshplan import gaopt
-from freshplan.demand import DemandCurve
-from freshplan.gaopt import GaConfig, PlanProblem, ProductContext
-from freshplan.intervals import SalesInterval
+from freshplan.gaopt import GaConfig, PlanProblem
 
 
 def main() -> None:
@@ -23,9 +21,8 @@ def main() -> None:
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
 
     # weekly demand 10 - p at unit cost 2: optimum price 6, allocation 4, profit 16
-    curve = DemandCurve("demo", 10.0 / 7.0, -1.0 / 7.0, 1.0, 10, 10.0 / 7.0)
-    interval = SalesInterval("demo", 5.0, 2.0, 0.0, 100.0, 0.95)
-    problem = PlanProblem([ProductContext("demo", 2.0, curve, interval)])
+    problem = PlanProblem(["demo"], unit_cost=[2.0], intercept=[10.0 / 7.0], slope=[-1.0 / 7.0],
+                          mean_volume=[10.0 / 7.0], lower=[0.0], upper=[100.0])
 
     result = gaopt.evolve(problem, GaConfig(pop=100, gens=200), seed=seed)
     with open(out, "w", newline="") as fh:

@@ -63,9 +63,11 @@ def _check_artifact_dirs(config: RunConfig, out_dir: Path) -> None:
             raise InputError(f"paths.{key}: directory {directory} does not exist")
 
 
-def _boundary_table(config: RunConfig) -> TermBoundaryTable:
+def _boundary_table(config: RunConfig, manifest: RunManifest) -> TermBoundaryTable:
     if config.paths.boundaries:
-        return pipeline.load_boundaries(config.paths.boundaries)
+        table = pipeline.load_boundaries(config.paths.boundaries)
+        manifest.note_input("boundaries", config.paths.boundaries)
+        return table
     return TermBoundaryTable()
 
 
@@ -74,7 +76,7 @@ def _boundary_table(config: RunConfig) -> TermBoundaryTable:
 
 def cmd_synth(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     started = time.perf_counter()
-    table = _boundary_table(config)
+    table = _boundary_table(config, manifest)
     costs, sales, prices = pipeline.generate_synthetic(
         config.synth.products, config.synth.days, derive_seed(config.seed, "synth"), table)
     costs_path = out_dir / config.paths.costs
@@ -142,7 +144,7 @@ def _training_totals(reports: list[forecaster.TrainReport]) -> dict:
 
 def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     started = time.perf_counter()
-    table = _boundary_table(config)
+    table = _boundary_table(config, manifest)
     costs_path = out_dir / config.paths.costs
     frames = pipeline.load_costs(str(costs_path))
     manifest.note_input("costs", costs_path)
@@ -177,7 +179,7 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
 
 def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     started = time.perf_counter()
-    table = _boundary_table(config)
+    table = _boundary_table(config, manifest)
     sales_path = out_dir / config.paths.sales
     qty_frames, _ = pipeline.load_sales(str(sales_path))
     manifest.note_input("sales", sales_path)
@@ -198,7 +200,7 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
     for frame, daily in zip(usable, np.reshape(
             weeks, (len(usable), config.bootstrap.replicas, HORIZON_DAYS))):
         pid = frame.product_id
-        interval = intervals_mod.fit_interval(pid, daily, level)
+        interval = intervals_mod.fit_interval(daily, level)
         rows.append([pid, _fmt(level), *map(_fmt, (interval.mean, interval.std,
                                                    interval.lower, interval.upper))])
         for day in range(interval.daily.shape[1]):
@@ -243,6 +245,8 @@ def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     costs_path = out_dir / config.paths.costs
     qty_frames, price_frames = pipeline.load_sales(str(sales_path))
     cost_frames = pipeline.load_costs(str(costs_path))
+    manifest.note_input("sales", sales_path)
+    manifest.note_input("costs", costs_path)
     matrix = _build_criteria(qty_frames, price_frames, cost_frames)
     weights, result = mcdm.rank_products(matrix)
 
@@ -268,27 +272,28 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
     forecasts = pipeline.read_csv(out_dir / config.paths.forecast, pipeline.FORECAST)
     interval_rows = pipeline.read_csv(intervals_path, pipeline.INTERVALS)
     qty_frames, price_frames = pipeline.load_sales(str(out_dir / config.paths.sales))
+    for name in ("ranking", "forecast", "intervals", "sales"):
+        manifest.note_input(name, out_dir / getattr(config.paths, name))
 
     unit_costs: dict[str, list[float]] = {}
     for _, (pid, _, cost) in forecasts:  # a negative cost is skipped below, not rejected
         unit_costs.setdefault(pid, []).append(cost)
-    intervals_by_id: dict[str, intervals_mod.SalesInterval] = {}
-    for line, (pid, level, mean, std, lower, upper) in interval_rows:
+    bounds_by_id: dict[str, tuple[float, float]] = {}
+    for line, (pid, _, _, _, lower, upper) in interval_rows:
         if not upper >= lower:
             raise InputError(f"{intervals_path}:{line}: upper must be a finite number >= {lower:g}, "
                              f"got {upper!r}")
-        intervals_by_id[pid] = intervals_mod.SalesInterval(
-            product_id=pid, mean=mean, std=std, lower=lower, upper=upper, level=level)
+        bounds_by_id[pid] = (lower, upper)
     selected = [pid for _, (_, pid, *_) in ranking[:config.topsis.top_k]]
 
-    contexts, demand_rows, skipped = [], [], []
+    planned, columns, demand_rows, skipped = [], [], [], []
 
     def skip(pid: str, reason: str) -> None:
         log.warning("optimize: skipping %s (%s)", pid, reason)
         skipped.append({"product_id": pid, "reason": reason})
 
     for pid in selected:
-        if pid not in unit_costs or pid not in intervals_by_id or pid not in qty_frames:
+        if pid not in unit_costs or pid not in bounds_by_id or pid not in qty_frames:
             skip(pid, "missing forecast, interval, or sales")
             continue
         unit_cost = float(np.mean(unit_costs[pid]))
@@ -302,15 +307,14 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
             continue
         demand_rows.append([pid, _fmt(curve.intercept), _fmt(curve.slope),
                             _fmt(curve.r_squared), "true" if curve.anomalous_slope else "false"])
-        contexts.append(gaopt.ProductContext(
-            product_id=pid,
-            unit_cost=unit_cost,
-            demand=curve,
-            interval=intervals_by_id[pid],
-        ))
-    if not contexts:
+        planned.append(pid)
+        columns.append((unit_cost, curve.intercept, curve.slope, curve.mean_volume,
+                        *bounds_by_id[pid]))
+    if not planned:
         raise InputError("optimize: no usable products after joining artifacts")
-    problem = gaopt.PlanProblem(contexts)
+    unit_cost, intercept, slope, mean_volume, lower, upper = np.array(columns).T
+    problem = gaopt.PlanProblem(planned, unit_cost=unit_cost, intercept=intercept, slope=slope,
+                                mean_volume=mean_volume, lower=lower, upper=upper)
 
     demand_path = out_dir / config.paths.demand
     _write_csv(demand_path, DEMAND_HEADER, demand_rows)
@@ -334,7 +338,7 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
              "evaluations": result.evaluations,
              "evaluations_per_s": round(result.evaluations / evolve_s, 1),
              "last_improving_generation": result.last_improvement,
-             "products": len(contexts), "skipped": skipped}
+             "products": len(planned), "skipped": skipped}
     if baseline == "random":
         _, random_best = gaopt.random_search(
             problem, result.evaluations, seed=derive_seed(config.seed, "optimize", "baseline"))
@@ -344,7 +348,7 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
     manifest.end_stage("optimize", started,
                        [str(demand_path), str(plan_path), str(trace_path)], **extra)
     log.info("optimize: best weekly profit %.3f over %d products",
-             result.best_fitness, len(contexts))
+             result.best_fitness, len(planned))
 
 
 def cmd_evaluate(pred_path: Path, truth_path: Path) -> forecaster.MetricsReport:

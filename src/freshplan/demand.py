@@ -16,11 +16,9 @@ from .errors import InputError
 
 @dataclass
 class DemandCurve:
-    product_id: str
     intercept: float           # kg at price zero
     slope: float               # kg per currency unit
     r_squared: float
-    n_points: int
     mean_volume: float         # fitted volume at the mean observed price
 
     @property
@@ -51,11 +49,4 @@ def fit_demand(prices, volumes, product_id: str = "") -> DemandCurve:
     ss_res = float(np.sum(residuals ** 2))
     ss_tot = float(np.sum((v - v.mean()) ** 2))
     r_squared = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DemandCurve(
-        product_id=product_id,
-        intercept=intercept,
-        slope=slope,
-        r_squared=r_squared,
-        n_points=int(p.size),
-        mean_volume=float(v.mean()),
-    )
+    return DemandCurve(intercept, slope, r_squared, mean_volume=float(v.mean()))

@@ -1,7 +1,7 @@
 """Genetic search over joint (price, allocation) decisions for selected products.
 
-A `PlanProblem` holds the per-product arrays and gene boxes, built once from
-the `ProductContext` records; every step of the search reads it.
+A `PlanProblem` holds the per-product columns and gene boxes, built once from
+the columns a caller joins; every step of the search reads it.
 A chromosome interleaves one price and one allocation per product; a population
 is a [P, 2N] array of them, prices in the even columns.  Repair projects prices
 onto the band where the weekly demand implied by the fitted curve stays inside
@@ -22,14 +22,11 @@ in row-major order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandCurve
 from .errors import InputError, InvariantError
-from .intervals import SalesInterval
 
 EPSILON = 1e-6
 WEEK_DAYS = 7.0
@@ -38,43 +35,38 @@ PRICE_CAP_MARKUP = 5.0  # price box upper bound, as a multiple of unit cost,
 RANDOM_SEARCH_BLOCK = 1024  # candidates drawn and scored at once by random_search
 
 
-@dataclass
-class ProductContext:
-    product_id: str
-    unit_cost: float
-    demand: DemandCurve
-    interval: SalesInterval
-
-    def __post_init__(self):
-        if not (math.isfinite(self.unit_cost) and self.unit_cost > 0.0):
-            raise InputError(f"{self.product_id}: unit cost must be positive, got {self.unit_cost}")
-        lower, upper = self.interval.lower, self.interval.upper
-        if not (0.0 <= lower <= upper and math.isfinite(upper)):  # NaN fails every comparison
-            raise InputError(f"{self.product_id}: interval bounds must be finite with "
-                             f"0 <= lower <= upper, got [{lower}, {upper}]")
-
-
 class PlanProblem:
-    """The plan's per-product arrays, built once from the contexts.
+    """The plan's per-product columns, checked once, and its gene boxes.
 
-    [N] intercept, slope, mean volume, interval bounds and unit cost, and the
-    [2N] gene boxes `low`/`high` (price/alloc interleaved) used for
-    initialization, repair and mutation scale.  For a downward-sloping curve
-    the price band is the preimage of the sales interval under the weekly
-    demand line (empty preimages collapse toward the closest achievable
-    price); otherwise price is bounded by a markup cap.  Allocation is bounded
-    by the sales interval.  Every `low` is at least EPSILON.
+    `product_ids`, the [N] `unit_cost`, `intercept`, `slope`, `mean_volume` and
+    weekly sales interval `lower`/`upper`, and the [2N] gene boxes `low`/`high`
+    (price/alloc interleaved) used for initialization, repair and mutation
+    scale.  For a downward-sloping curve the price band is the preimage of the
+    sales interval under the weekly demand line (empty preimages collapse toward
+    the closest achievable price); otherwise price is bounded by a markup cap.
+    Allocation is bounded by the sales interval.  Every `low` is at least EPSILON.
     """
 
-    def __init__(self, contexts: list[ProductContext]):
-        if not contexts:
-            raise InputError("no product contexts")
-        self.product_ids = [ctx.product_id for ctx in contexts]
-        columns = np.array([(ctx.demand.intercept, ctx.demand.slope, ctx.demand.mean_volume,
-                             ctx.interval.lower, ctx.interval.upper, ctx.unit_cost)
-                            for ctx in contexts]).T
-        (self.intercept, self.slope, self.mean_volume,
-         self.lower, self.upper, self.unit_cost) = columns
+    def __init__(self, product_ids: list[str], *, unit_cost, intercept, slope, mean_volume,
+                 lower, upper):
+        self.product_ids = list(product_ids)
+        n = len(self.product_ids)
+        columns = [np.asarray(c, dtype=np.float64)
+                   for c in (unit_cost, intercept, slope, mean_volume, lower, upper)]
+        if n == 0 or any(c.shape != (n,) for c in columns):
+            raise InputError(f"need one value per product in every column, got {n} products "
+                             f"and column shapes {[c.shape for c in columns]}")
+        (self.unit_cost, self.intercept, self.slope, self.mean_volume,
+         self.lower, self.upper) = columns
+        bad_cost = ~(np.isfinite(self.unit_cost) & (self.unit_cost > 0.0))
+        bad_bounds = ~((0.0 <= self.lower) & (self.lower <= self.upper) & np.isfinite(self.upper))
+        if np.any(bad := bad_cost | bad_bounds):  # a NaN fails every comparison: bad
+            i = int(np.argmax(bad))  # the first bad product, its cost checked first
+            pid = self.product_ids[i]
+            if bad_cost[i]:
+                raise InputError(f"{pid}: unit cost must be positive, got {float(self.unit_cost[i])}")
+            raise InputError(f"{pid}: interval bounds must be finite with 0 <= lower <= upper, "
+                             f"got [{float(self.lower[i])}, {float(self.upper[i])}]")
         sloped = self.slope < 0.0
         divisor = np.where(sloped, self.slope, -1.0)  # finite quotients where np.where drops them
         p_at_upper = (self.upper / WEEK_DAYS - self.intercept) / divisor

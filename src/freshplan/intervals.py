@@ -45,19 +45,15 @@ def z_for_level(level: float) -> float:
 
 @dataclass
 class SalesInterval:
-    product_id: str
     mean: float
     std: float
     lower: float
     upper: float
-    level: float
-    # Per-replica daily predictions, [replicas, 7]; None when read back from CSV.
-    daily: np.ndarray | None = field(default=None, repr=False, compare=False)
+    daily: np.ndarray = field(repr=False, compare=False)  # per-replica, [replicas, 7]
 
 
 @dataclass
 class BootstrapEnsemble:
-    product_id: str
     models: list[ForecasterModel]
     input_days: int = INPUT_DAYS
 
@@ -118,8 +114,7 @@ def bootstrap_train(sales: SeriesFrame, config: BootstrapConfig, model: ModelCon
                     input_days: int = INPUT_DAYS) -> BootstrapEnsemble:
     """The fitted models of `replica_tasks`, in replica order."""
     tasks = replica_tasks(sales, config, model, seed, table, input_days)
-    return BootstrapEnsemble(sales.product_id, [forecaster.fit(task)[0] for task in tasks],
-                             input_days)
+    return BootstrapEnsemble([forecaster.fit(task)[0] for task in tasks], input_days)
 
 
 def normal_fit(samples: np.ndarray, z: float) -> tuple[float, float, float, float]:
@@ -130,7 +125,7 @@ def normal_fit(samples: np.ndarray, z: float) -> tuple[float, float, float, floa
     return mean, std, max(0.0, mean - z * std), mean + z * std
 
 
-def fit_interval(product_id: str, daily: np.ndarray, level: float = 0.95) -> SalesInterval:
+def fit_interval(daily: np.ndarray, level: float = 0.95) -> SalesInterval:
     """Normal-fit interval over the replicas' 7-day total sales, from their
     `[replicas, 7]` daily predictions.
 
@@ -141,17 +136,12 @@ def fit_interval(product_id: str, daily: np.ndarray, level: float = 0.95) -> Sal
         raise InputError("empty ensemble")
     daily = np.maximum(daily, 0.0)
     mean, std, lower, upper = normal_fit(daily.sum(axis=1), z_for_level(level))
-    return SalesInterval(product_id=product_id, mean=mean, std=std, lower=lower, upper=upper,
-                         level=level, daily=daily)
+    return SalesInterval(mean=mean, std=std, lower=lower, upper=upper, daily=daily)
 
 
-def predict_interval(
-    ensemble: BootstrapEnsemble,
-    history,
-    future_terms,
-    level: float = 0.95,
-) -> SalesInterval:
+def predict_interval(ensemble: BootstrapEnsemble, history, future_terms,
+                     level: float = 0.95) -> SalesInterval:
     """`fit_interval` over the ensemble's forecasts from `history` and `future_terms`."""
     daily = [forecaster.predict(m, history, future_terms, ensemble.input_days)
              for m in ensemble.models]
-    return fit_interval(ensemble.product_id, np.reshape(daily, (-1, HORIZON_DAYS)), level)
+    return fit_interval(np.reshape(daily, (-1, HORIZON_DAYS)), level)

@@ -81,7 +81,16 @@ def single_product_grid_optimum(cost=2.0, intercept_weekly=10.0, slope_weekly=-1
     return float(prices[i[0]]), float(allocs[i[1]]), float(profit[i])
 
 
-def plan_profit_reference(chromosome, contexts) -> float:
+PLAN_COLUMNS = ("product_ids", "unit_cost", "intercept", "slope", "mean_volume", "lower", "upper")
+
+
+def plan_columns(*products) -> dict[str, list]:
+    """`PlanProblem`'s arguments from one (id, unit cost, intercept, slope,
+    mean volume, lower, upper) row per product."""
+    return {name: [row[j] for row in products] for j, name in enumerate(PLAN_COLUMNS)}
+
+
+def plan_profit_reference(chromosome, columns) -> float:
     """Expected weekly profit of one interleaved [price, alloc, ...] chromosome,
     one product at a time, summed left to right.
 
@@ -89,19 +98,19 @@ def plan_profit_reference(chromosome, contexts) -> float:
     curve, and otherwise 7 * max(0, mean volume) clamped into the sales interval.
     """
     total = 0.0
-    for i, ctx in enumerate(contexts):
+    for i, (cost, intercept, slope, mean_volume, lower, upper) in enumerate(
+            zip(*(columns[name] for name in PLAN_COLUMNS[1:]))):
         price, alloc = float(chromosome[2 * i]), float(chromosome[2 * i + 1])
-        curve, interval = ctx.demand, ctx.interval
-        if curve.slope < 0.0:
-            demand = 7.0 * max(0.0, curve.intercept + curve.slope * price)
+        if slope < 0.0:
+            demand = 7.0 * max(0.0, intercept + slope * price)
         else:
-            demand = min(max(7.0 * max(0.0, curve.mean_volume), interval.lower), interval.upper)
+            demand = min(max(7.0 * max(0.0, mean_volume), lower), upper)
         sold = min(alloc, demand)
-        total += price * sold - ctx.unit_cost * alloc
+        total += price * sold - cost * alloc
     return total
 
 
-def gene_boxes_reference(contexts) -> tuple[list[float], list[float]]:
+def gene_boxes_reference(columns) -> tuple[list[float], list[float]]:
     """[2N] gene box lows and highs, price/alloc interleaved, one product at a time.
 
     A downward-sloping curve bounds price by the preimage of the sales interval
@@ -110,15 +119,15 @@ def gene_boxes_reference(contexts) -> tuple[list[float], list[float]]:
     """
     eps = 1e-6
     lows, highs = [], []
-    for ctx in contexts:
-        curve, interval = ctx.demand, ctx.interval
-        if curve.slope < 0.0:
-            p_lo = max(eps, (interval.upper / 7.0 - curve.intercept) / curve.slope)
-            p_hi = max(p_lo, (interval.lower / 7.0 - curve.intercept) / curve.slope)
+    for cost, intercept, slope, _, lower, upper in zip(*(columns[name]
+                                                         for name in PLAN_COLUMNS[1:])):
+        if slope < 0.0:
+            p_lo = max(eps, (upper / 7.0 - intercept) / slope)
+            p_hi = max(p_lo, (lower / 7.0 - intercept) / slope)
         else:
-            p_lo, p_hi = eps, max(5.0 * ctx.unit_cost, 2.0 * eps)
-        a_hi = max(interval.upper, eps)
-        lows += [p_lo, min(max(interval.lower, eps), a_hi)]
+            p_lo, p_hi = eps, max(5.0 * cost, 2.0 * eps)
+        a_hi = max(upper, eps)
+        lows += [p_lo, min(max(lower, eps), a_hi)]
         highs += [p_hi, a_hi]
     return lows, highs
 

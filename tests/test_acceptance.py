@@ -12,17 +12,15 @@ import time
 
 import numpy as np
 import pytest
-from oracles import (conv_reference, holdout_mse, naive_mse, single_product_grid_optimum,
-                     topsis_reference)
+from oracles import (conv_reference, holdout_mse, naive_mse, plan_columns,
+                     single_product_grid_optimum, topsis_reference)
 
 from freshplan import autodiff as ad
 from freshplan import cli, forecaster, gaopt, intervals as iv, layers, mcdm, pipeline
 from freshplan.autodiff import Tensor
 from freshplan.config import derive_seed
-from freshplan.demand import DemandCurve
 from freshplan.forecaster import ForecasterModel, ModelConfig
-from freshplan.gaopt import GaConfig, PlanProblem, ProductContext
-from freshplan.intervals import SalesInterval
+from freshplan.gaopt import GaConfig, PlanProblem
 from freshplan.pipeline import fit_normalizer, make_windows
 from freshplan.solarterms import TERM_CODES, encode_date_range
 
@@ -254,9 +252,7 @@ def test_a08_bootstrap_coverage():
 
 
 def _analytic_context():
-    curve = DemandCurve("X", 10.0 / 7.0, -1.0 / 7.0, 1.0, 10, 10.0 / 7.0)
-    interval = SalesInterval("X", 5.0, 2.0, 0.0, 100.0, 0.95)
-    return [ProductContext("X", 2.0, curve, interval)]
+    return plan_columns(("X", 2.0, 10.0 / 7.0, -1.0 / 7.0, 10.0 / 7.0, 0.0, 100.0))
 
 
 def test_a09_ga_reaches_analytic_optimum():
@@ -264,7 +260,7 @@ def test_a09_ga_reaches_analytic_optimum():
     price, alloc, target = single_product_grid_optimum()
     assert (price, alloc) == (pytest.approx(6.0, abs=0.02), pytest.approx(4.0, abs=0.02))
     for seed in range(10):
-        result = gaopt.evolve(PlanProblem(_analytic_context()), GaConfig(pop=100, gens=200),
+        result = gaopt.evolve(PlanProblem(**_analytic_context()), GaConfig(pop=100, gens=200),
                               seed=seed)
         assert result.best_fitness >= 0.98 * target, \
             f"seed {seed}: {result.best_fitness:.3f} < 98% of {target:.3f}"
@@ -276,7 +272,7 @@ def test_a09_ga_reaches_analytic_optimum():
 
 def _instance_32(seed=1234):
     rng = np.random.default_rng(seed)
-    contexts = []
+    rows = []
     for i in range(32):
         cost = rng.uniform(2.0, 8.0)
         intercept = rng.uniform(30.0, 120.0)
@@ -284,17 +280,14 @@ def _instance_32(seed=1234):
         mean_weekly = 7.0 * max(0.0, intercept + slope * cost * 1.6)
         lower = max(0.0, mean_weekly * rng.uniform(0.6, 0.9))
         upper = mean_weekly * rng.uniform(1.1, 1.5)
-        curve = DemandCurve(f"P{i:02d}", intercept, slope, 0.9, 100,
-                            intercept + slope * cost * 1.6)
-        contexts.append(ProductContext(
-            f"P{i:02d}", cost, curve,
-            SalesInterval(f"P{i:02d}", mean_weekly, 10.0, lower, upper, 0.95)))
-    return contexts
+        rows.append((f"P{i:02d}", cost, intercept, slope, intercept + slope * cost * 1.6,
+                     lower, upper))
+    return plan_columns(*rows)
 
 
 def test_a10_ga_beats_equal_budget_random_search():
     started = time.perf_counter()
-    problem = PlanProblem(_instance_32())
+    problem = PlanProblem(**_instance_32())
     wins = 0
     for seed in range(10):
         result = gaopt.evolve(problem, GaConfig(pop=100, gens=100), seed=seed)

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import gc
+import hashlib
 import json
 import multiprocessing
 import os
@@ -539,6 +540,23 @@ class TestInputSchemas:
         assert exit_code(monkeypatch, stage_argv(source, out)) == 1
         assert where in caplog.text
         assert "Traceback" not in caplog.text + capsys.readouterr().err
+
+    def test_manifest_names_every_input_with_its_digest(self, full_run, tmp_path):
+        """A stage run on its own records each file it read, and its sha256."""
+        out = tmp_path / "run"
+        shutil.copytree(full_run[1], out)
+        boundaries = [f"{i},{m},{d}" for i, (m, d) in enumerate(DEFAULT_BOUNDARIES)]
+        (out / "boundaries.csv").write_text("term_index,month,day\n" + "\n".join(boundaries) + "\n")
+        # synth last: it rewrites the costs and sales the other two read
+        for argv, names in [(["rank"], ["costs", "sales"]),
+                            (["optimize"], ["ranking", "forecast", "intervals", "sales"]),
+                            (stage_argv("boundaries", out)[2:], ["boundaries"])]:
+            assert cli.run(["--out", str(out), *argv]) == 0
+            inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+            paths = {name: out / f"{name}.csv" for name in names}
+            assert inputs == {name: {"path": str(path),
+                                     "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+                              for name, path in paths.items()}
 
     @pytest.mark.parametrize("change,message", [
         ("score", "ranking.csv:3: score must be a finite number, got 'abc'"),

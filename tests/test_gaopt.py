@@ -9,17 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (gaussian_mutate_reference, gene_boxes_reference, generation_reference,
-                     plan_profit_reference)
+                     plan_columns, plan_profit_reference)
 from test_acceptance import _instance_32
 
 from freshplan import gaopt
 from freshplan.config import load_config
-from freshplan.demand import DemandCurve
 from freshplan.errors import InputError, InvariantError
 from freshplan.gaopt import (
     GaConfig,
     PlanProblem,
-    ProductContext,
     breed,
     crossover,
     evolve,
@@ -28,14 +26,11 @@ from freshplan.gaopt import (
     repair,
     weekly_demand,
 )
-from freshplan.intervals import SalesInterval
 
 
 def analytic_context(lower=0.0, upper=100.0):
     # weekly demand 10 - p, unit cost 2; optimum (p, alloc) = (6, 4), profit 16
-    curve = DemandCurve("X", 10.0 / 7.0, -1.0 / 7.0, 1.0, 10, 10.0 / 7.0)
-    interval = SalesInterval("X", 5.0, 2.0, lower, upper, 0.95)
-    return [ProductContext("X", 2.0, curve, interval)]
+    return plan_columns(("X", 2.0, 10.0 / 7.0, -1.0 / 7.0, 10.0 / 7.0, lower, upper))
 
 
 def grid_optimum():
@@ -54,70 +49,65 @@ def chromosomes(*rows) -> np.ndarray:
 class TestFitness:
     def test_analytic_point(self):
         ctx = analytic_context()
-        assert fitness(chromosomes([6.0, 4.0]), PlanProblem(ctx))[0] == pytest.approx(16.0)
+        assert fitness(chromosomes([6.0, 4.0]), PlanProblem(**ctx))[0] == pytest.approx(16.0)
         assert plan_profit_reference([6.0, 4.0], ctx) == pytest.approx(16.0)
 
     def test_alloc_equal_to_sales_gives_margin_times_alloc(self):
-        problem = PlanProblem(analytic_context())
+        problem = PlanProblem(**analytic_context())
         price = 5.0
         demand = weekly_demand(problem, np.array([price]))[0]
         got = fitness(chromosomes([price, demand]), problem)[0]
         assert got == pytest.approx((price - 2.0) * demand)
 
     def test_price_below_cost_is_negative(self):
-        problem = PlanProblem(analytic_context())
+        problem = PlanProblem(**analytic_context())
         assert fitness(chromosomes([1.0, 3.0]), problem)[0] < 0.0
 
     def test_one_profit_per_row(self):
         ctx = analytic_context()
-        got = fitness(chromosomes([6.0, 4.0], [1.0, 3.0], [5.0, 5.0]), PlanProblem(ctx))
+        got = fitness(chromosomes([6.0, 4.0], [1.0, 3.0], [5.0, 5.0]), PlanProblem(**ctx))
         assert got.shape == (3,)
         assert got.tolist() == [plan_profit_reference(row, ctx)
                                 for row in ([6.0, 4.0], [1.0, 3.0], [5.0, 5.0])]
 
     def test_wrong_shape_rejected(self):
-        problem = PlanProblem(analytic_context())
+        problem = PlanProblem(**analytic_context())
         with pytest.raises(InputError):
             fitness(np.array([6.0, 4.0]), problem)
         with pytest.raises(InputError):
             fitness(chromosomes([6.0, 4.0, 1.0, 1.0]), problem)
 
     def test_unrepaired_chromosome_rejected(self):
-        problem = PlanProblem(analytic_context())
+        problem = PlanProblem(**analytic_context())
         with pytest.raises(InvariantError):
             fitness(chromosomes([6.0, 4.0], [50.0, 4.0]), problem)
 
     def test_nonpositive_genes_rejected(self):
-        problem = PlanProblem(analytic_context())
+        problem = PlanProblem(**analytic_context())
         with pytest.raises(InvariantError):
             fitness(chromosomes([6.0, 4.0], [-1.0, 4.0]), problem)
 
 
 class TestWeeklyDemand:
     def test_downward_sloping(self):
-        problem = PlanProblem(analytic_context())
+        problem = PlanProblem(**analytic_context())
         got = weekly_demand(problem, np.array([[3.0], [10.0], [20.0]]))
         assert got[0, 0] == pytest.approx(7.0)
         assert got[1, 0] == pytest.approx(0.0, abs=1e-12)
         assert got[2, 0] == 0.0
 
     def test_flat_curve_pinned_into_interval(self):
-        curve = DemandCurve("F", 4.0, 0.0, 0.0, 10, 4.0)
-        interval = SalesInterval("F", 20.0, 2.0, 10.0, 20.0, 0.95)
-        problem = PlanProblem([ProductContext("F", 1.0, curve, interval)])
+        problem = PlanProblem(**plan_columns(("F", 1.0, 4.0, 0.0, 4.0, 10.0, 20.0)))
         # 7 * 4 = 28 clamps to the interval upper bound
         assert weekly_demand(problem, np.array([[9.0], [1.0]])).tolist() == [[20.0], [20.0]]
 
     def test_anomalous_curve_is_price_insensitive(self):
-        curve = DemandCurve("A", -5.0, 2.0, 0.3, 10, 30.0)
-        interval = SalesInterval("A", 200.0, 10.0, 150.0, 260.0, 0.95)
-        problem = PlanProblem([ProductContext("A", 1.0, curve, interval)])
+        problem = PlanProblem(**plan_columns(("A", 1.0, -5.0, 2.0, 30.0, 150.0, 260.0)))
         assert weekly_demand(problem, np.array([[2.0], [50.0]])).tolist() == [[7.0 * 30.0]] * 2
 
     def test_each_column_follows_its_own_curve(self):
-        flat = ProductContext("F", 1.0, DemandCurve("F", 4.0, 0.0, 0.0, 10, 4.0),
-                              SalesInterval("F", 20.0, 2.0, 10.0, 20.0, 0.95))
-        problem = PlanProblem([*analytic_context(), flat])
+        flat = plan_columns(("F", 1.0, 4.0, 0.0, 4.0, 10.0, 20.0))
+        problem = PlanProblem(**{k: v + flat[k] for k, v in analytic_context().items()})
         assert weekly_demand(problem, np.array([3.0, 3.0])).tolist() == pytest.approx([7.0, 20.0])
 
 
@@ -125,27 +115,39 @@ class TestContext:
     @pytest.mark.parametrize("lower,upper", [(np.nan, 5.0), (1.0, np.nan), (-1.0, 5.0),
                                              (6.0, 5.0), (1.0, np.inf)])
     def test_bad_interval_rejected(self, lower, upper):
-        curve = DemandCurve("X", 10.0, -1.0, 1.0, 10, 5.0)
         with pytest.raises(InputError, match="interval bounds"):
-            ProductContext("X", 2.0, curve, SalesInterval("X", 5.0, 1.0, lower, upper, 0.95))
+            PlanProblem(**plan_columns(("X", 2.0, 10.0, -1.0, 5.0, lower, upper)))
 
     @pytest.mark.parametrize("cost", [0.0, -1.0, np.nan, np.inf])
     def test_bad_unit_cost_rejected(self, cost):
-        curve = DemandCurve("X", 10.0, -1.0, 1.0, 10, 5.0)
         with pytest.raises(InputError, match="unit cost"):
-            ProductContext("X", cost, curve, SalesInterval("X", 5.0, 1.0, 1.0, 5.0, 0.95))
+            PlanProblem(**plan_columns(("X", cost, 10.0, -1.0, 5.0, 1.0, 5.0)))
+
+    def test_first_bad_product_is_named(self):
+        good = ("A", 2.0, 10.0, -1.0, 5.0, 1.0, 5.0)
+        bad_bounds = ("B", 2.0, 10.0, -1.0, 5.0, 6.0, 5.0)
+        with pytest.raises(InputError, match=r"^B: interval bounds .*, got \[6\.0, 5\.0\]$"):
+            PlanProblem(**plan_columns(good, bad_bounds, ("C", 0.0, 10.0, -1.0, 5.0, 1.0, 5.0)))
+        # Within one product the unit cost is checked first.
+        with pytest.raises(InputError, match=r"^D: unit cost must be positive, got nan$"):
+            PlanProblem(**plan_columns(good, ("D", np.nan, 10.0, -1.0, 5.0, 6.0, 5.0), bad_bounds))
+
+    def test_column_of_another_length_rejected(self):
+        columns = {**plan_columns(("A", 2.0, 10.0, -1.0, 5.0, 1.0, 5.0)), "slope": [-1.0, -2.0]}
+        with pytest.raises(InputError, match="one value per product in every column"):
+            PlanProblem(**columns)
 
 
 class TestRepair:
     def test_feasible_chromosome_unchanged(self):
         ctx = analytic_context()
-        problem = PlanProblem(ctx)
+        problem = PlanProblem(**ctx)
         c = np.array([6.0, 4.0])
         assert np.array_equal(repair(c, problem), c)
 
     def test_idempotent(self):
         ctx = analytic_context(lower=2.0, upper=6.0)
-        problem = PlanProblem(ctx)
+        problem = PlanProblem(**ctx)
         rng = np.random.default_rng(0)
         for _ in range(100):
             c = rng.uniform(-20, 40, size=2)
@@ -154,19 +156,19 @@ class TestRepair:
 
     def test_price_projected_to_demand_bound(self):
         ctx = analytic_context(lower=2.0, upper=6.0)
-        problem = PlanProblem(ctx)
+        problem = PlanProblem(**ctx)
         fixed = repair(np.array([1.0, 4.0]), problem)  # demand(1) = 9 > upper 6
         assert abs(weekly_demand(problem, fixed[::2])[0] - 6.0) < 1e-9
 
     def test_negative_alloc_clamped_to_lower(self):
         ctx = analytic_context(lower=2.0, upper=6.0)
-        problem = PlanProblem(ctx)
+        problem = PlanProblem(**ctx)
         fixed = repair(np.array([5.0, -5.0]), problem)
         assert fixed[1] == 2.0
 
     def test_zero_lower_alloc_clamped_to_epsilon(self):
         ctx = analytic_context(lower=0.0, upper=6.0)
-        problem = PlanProblem(ctx)
+        problem = PlanProblem(**ctx)
         fixed = repair(np.array([5.0, -5.0]), problem)
         assert fixed[1] == pytest.approx(gaopt.EPSILON)
 
@@ -174,7 +176,7 @@ class TestRepair:
 class TestMutation:
     def test_zero_sigma_is_identity(self):
         ctx = analytic_context()
-        problem = PlanProblem(ctx)
+        problem = PlanProblem(**ctx)
         cfg = GaConfig(mutation_prob=1.0, sigma_fraction=0.0)
         pop = chromosomes([6.0, 4.0], [1.0, 3.0])
         out = gaussian_mutate(pop, problem, cfg, np.random.default_rng(0))
@@ -182,14 +184,14 @@ class TestMutation:
 
     def test_zero_probability_is_identity(self):
         ctx = analytic_context()
-        problem = PlanProblem(ctx)
+        problem = PlanProblem(**ctx)
         cfg = GaConfig(mutation_prob=0.0, sigma_fraction=0.5)
         pop = chromosomes([6.0, 4.0], [1.0, 3.0])
         assert np.array_equal(gaussian_mutate(pop, problem, cfg, np.random.default_rng(0)), pop)
 
     def test_single_row_still_works(self):
         ctx = analytic_context()
-        problem = PlanProblem(ctx)
+        problem = PlanProblem(**ctx)
         cfg = GaConfig(mutation_prob=0.5, sigma_fraction=0.3)
         c = np.array([6.0, 4.0])
         row = gaussian_mutate(c, problem, cfg, np.random.default_rng(7))
@@ -199,7 +201,7 @@ class TestMutation:
 
     def test_perturbations_have_zero_mean(self):
         ctx = analytic_context()
-        problem = PlanProblem(ctx)
+        problem = PlanProblem(**ctx)
         cfg = GaConfig(mutation_prob=1.0, sigma_fraction=0.1)
         rng = np.random.default_rng(123)
         c = np.array([6.0, 4.0])
@@ -213,7 +215,7 @@ class TestMutation:
     def test_matches_boolean_mask_reference(self, prob):
         """The flat-index form draws and adds the same numbers as the boolean
         mask over the broadcast sigma, on a population and on one chromosome."""
-        problem = PlanProblem(_instance_32())
+        problem = PlanProblem(**_instance_32())
         cfg = GaConfig(mutation_prob=prob, sigma_fraction=0.2)
         rng = np.random.default_rng(5)
         population = rng.uniform(problem.low, problem.high, size=(40, problem.low.size))
@@ -277,39 +279,37 @@ class TestEvolve:
         target = grid_optimum()
         assert target == pytest.approx(16.0, abs=0.01)
         for seed in range(10):
-            res = evolve(PlanProblem(analytic_context()), GaConfig(pop=100, gens=200), seed=seed)
+            res = evolve(PlanProblem(**analytic_context()), GaConfig(pop=100, gens=200), seed=seed)
             assert res.best_fitness >= 0.98 * target
             peaks = [s.max_fitness for s in res.trace]
             assert all(b >= a for a, b in zip(peaks, peaks[1:]))
 
     def test_deterministic_per_seed(self):
-        a = evolve(PlanProblem(analytic_context()), GaConfig(pop=30, gens=40), seed=5)
-        b = evolve(PlanProblem(analytic_context()), GaConfig(pop=30, gens=40), seed=5)
+        a = evolve(PlanProblem(**analytic_context()), GaConfig(pop=30, gens=40), seed=5)
+        b = evolve(PlanProblem(**analytic_context()), GaConfig(pop=30, gens=40), seed=5)
         assert np.array_equal(a.best, b.best)
         assert [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in a.trace] == \
                [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in b.trace]
 
     def test_stats_ordering_every_generation(self):
-        res = evolve(PlanProblem(analytic_context()), GaConfig(pop=40, gens=50), seed=2)
+        res = evolve(PlanProblem(**analytic_context()), GaConfig(pop=40, gens=50), seed=2)
         assert len(res.trace) == 50
         for s in res.trace:
             assert s.min_fitness <= s.avg_fitness <= s.max_fitness
 
     def test_infeasible_context_rejected(self):
-        curve = DemandCurve("X", 1.0, -1.0, 1.0, 10, 1.0)
-        interval = SalesInterval("X", 0.0, 0.0, 0.0, 0.0, 0.95)
         with pytest.raises(InputError, match="no feasible plan"):
-            problem = PlanProblem([ProductContext("X", 1.0, curve, interval)])
+            problem = PlanProblem(**plan_columns(("X", 1.0, 1.0, -1.0, 1.0, 0.0, 0.0)))
             evolve(problem, GaConfig(pop=10, gens=5), seed=0)
 
     def test_empty_context_rejected(self):
         with pytest.raises(InputError):
-            evolve(PlanProblem([]), GaConfig())
+            evolve(PlanProblem(**plan_columns()), GaConfig())
 
 
 def test_random_search_budget_and_feasibility():
     ctx = analytic_context(lower=2.0, upper=6.0)
-    problem = PlanProblem(ctx)
+    problem = PlanProblem(**ctx)
     best, best_fit = gaopt.random_search(problem, 500, seed=9)
     assert np.all(best >= problem.low) and np.all(best <= problem.high)
     assert best_fit == fitness(best[None], problem)[0] == plan_profit_reference(best, ctx)
@@ -317,7 +317,7 @@ def test_random_search_budget_and_feasibility():
 
 def test_decode_plan_matches_fitness():
     ctx = analytic_context()
-    problem = PlanProblem(ctx)
+    problem = PlanProblem(**ctx)
     chromosome = np.array([6.0, 4.0])
     rows = gaopt.decode_plan(chromosome, problem)
     assert rows[0]["expected_profit"] == pytest.approx(fitness(chromosome[None], problem)[0])
@@ -332,21 +332,19 @@ PRODUCTS = st.tuples(
     st.floats(0.1, 20.0), st.floats(0.0, 500.0), st.floats(0.0, 500.0))
 
 
-def contexts_of(products) -> list[ProductContext]:
-    contexts = []
+def contexts_of(products) -> dict[str, list]:
+    rows = []
     for i, (kind, intercept, steepness, mean_volume, cost, lower, width) in enumerate(products):
         slope = {"sloped": -steepness, "flat": 0.0, "anomalous": steepness}[kind]
-        curve = DemandCurve(f"P{i}", intercept, slope, 0.5, 10, mean_volume)
-        interval = SalesInterval(f"P{i}", lower + width / 2, 1.0, lower, lower + width, 0.95)
-        contexts.append(ProductContext(f"P{i}", cost, curve, interval))
-    return contexts
+        rows.append((f"P{i}", cost, intercept, slope, mean_volume, lower, lower + width))
+    return plan_columns(*rows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(PRODUCTS, min_size=1, max_size=6), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_batched_evaluator_matches_row_by_row_reference(products, pop_size, seed):
     ctx = contexts_of(products)
-    problem = PlanProblem(ctx)
+    problem = PlanProblem(**ctx)
     assert (problem.low.tolist(), problem.high.tolist()) == gene_boxes_reference(ctx)
     raw = np.random.default_rng(seed).uniform(problem.low - problem.width,
                                               problem.high + problem.width,
@@ -366,7 +364,7 @@ def test_generation_matches_child_by_child_reference(products, pop_size, tournam
     """A generation bred from block draws equals the child-by-child loop fed the
     same draws, and takes exactly the documented draws from the generator."""
     ctx = contexts_of(products)
-    problem = PlanProblem(ctx)
+    problem = PlanProblem(**ctx)
     rng = np.random.default_rng(seed)
     pop = rng.uniform(problem.low, problem.high, size=(pop_size, problem.low.size))
     fits = fitness(pop, problem)
@@ -391,7 +389,7 @@ def test_generation_matches_child_by_child_reference(products, pop_size, tournam
 
 
 def test_last_improvement_is_last_rise_of_best():
-    res = evolve(PlanProblem(_instance_32()), GaConfig(pop=30, gens=60), seed=4)
+    res = evolve(PlanProblem(**_instance_32()), GaConfig(pop=30, gens=60), seed=4)
     best = [s.max_fitness for s in res.trace]
     rises = [g for g in range(1, len(best)) if best[g] > best[g - 1]]
     assert 0 <= res.last_improvement == rises[-1] < 60
@@ -399,15 +397,15 @@ def test_last_improvement_is_last_rise_of_best():
 
 
 def test_no_generations_means_no_improvement():
-    res = evolve(PlanProblem(analytic_context()), GaConfig(pop=5, gens=0), seed=0)
+    res = evolve(PlanProblem(**analytic_context()), GaConfig(pop=5, gens=0), seed=0)
     assert (res.last_improvement, res.trace, res.evaluations) == (-1, [], 5)
 
 
 def test_draw_order_does_not_depend_on_batching(monkeypatch):
     """The GA and random search draw the same numbers whether the population is
     scored at once or one row at a time through the reference."""
-    contexts = _instance_32()
-    problem = PlanProblem(contexts)
+    columns = _instance_32()
+    problem = PlanProblem(**columns)
 
     def run():
         result = evolve(problem, GaConfig(pop=31, gens=40), seed=3)
@@ -418,29 +416,26 @@ def test_draw_order_does_not_depend_on_batching(monkeypatch):
 
     batched = run()
     monkeypatch.setattr(gaopt, "fitness", lambda pop, problem: np.array(
-        [plan_profit_reference(row, contexts) for row in pop]))
+        [plan_profit_reference(row, columns) for row in pop]))
     assert run() == batched
     assert batched[3] > gaopt.RANDOM_SEARCH_BLOCK  # random search spans more than one block
 
 
-def pinned_instance() -> list[ProductContext]:
+def pinned_instance() -> dict[str, list]:
     """A downward-sloping curve, a flat curve, a zero-width interval, and an
-    interval above all demand the curve allows (an empty price preimage)."""
-    def product(pid, cost, intercept, slope, mean_volume, lower, upper):
-        return ProductContext(pid, cost, DemandCurve(pid, intercept, slope, 0.5, 30, mean_volume),
-                              SalesInterval(pid, (lower + upper) / 2, 1.0, lower, upper, 0.95))
-
-    return [product("S", 3.0, 12.0, -1.5, 6.0, 20.0, 60.0),
-            product("F", 1.5, 4.0, 0.0, 4.0, 10.0, 20.0),
-            product("Z", 2.0, 9.0, -0.5, 5.0, 28.0, 28.0),
-            product("E", 0.5, 1.0, -0.2, 0.6, 40.0, 55.0)]
+    interval above all demand the curve allows (an empty price preimage), as
+    (id, unit cost, intercept, slope, mean volume, lower, upper)."""
+    return plan_columns(("S", 3.0, 12.0, -1.5, 6.0, 20.0, 60.0),
+                        ("F", 1.5, 4.0, 0.0, 4.0, 10.0, 20.0),
+                        ("Z", 2.0, 9.0, -0.5, 5.0, 28.0, 28.0),
+                        ("E", 0.5, 1.0, -0.2, 0.6, 40.0, 55.0))
 
 
 def test_evolve_bits_are_pinned():
     """evolve's result on the pinned instance, as float.hex, recorded when
     mutation began to draw one normal per mutated gene; any change to the
     arithmetic or the random stream shows here."""
-    result = evolve(PlanProblem(pinned_instance()), GaConfig(pop=16, gens=6), seed=7)
+    result = evolve(PlanProblem(**pinned_instance()), GaConfig(pop=16, gens=6), seed=7)
     assert [float(v).hex() for v in result.best] == [
         "0x1.73fc1ad1cbf38p+2", "0x1.7208a241141c3p+4", "0x1.e000000000000p+2",
         "0x1.4000000000000p+4", "0x1.4000000000000p+3", "0x1.c000000000000p+4",
@@ -457,14 +452,24 @@ def test_evolve_bits_are_pinned():
 
 
 def test_each_box_is_the_products_own():
-    contexts = pinned_instance()
-    mixed = PlanProblem(contexts)
-    for i, ctx in enumerate(contexts):
-        alone = PlanProblem([ctx])
+    columns = pinned_instance()
+    mixed = PlanProblem(**columns)
+    for i in range(len(columns["product_ids"])):
+        alone = PlanProblem(**{k: v[i:i + 1] for k, v in columns.items()})
         assert mixed.low[2 * i:2 * i + 2].tolist() == alone.low.tolist()
         assert mixed.high[2 * i:2 * i + 2].tolist() == alone.high.tolist()
     assert mixed.low[4:6].tolist() == mixed.high[4:6].tolist()  # Z: a zero-width box
     assert mixed.low[6] == mixed.high[6] == gaopt.EPSILON  # E: the price collapses to EPSILON
+
+
+def test_import_loads_no_other_freshplan_module():
+    """The plan takes plain columns, so the GA loads none of the training stack."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, freshplan.gaopt; print(*sorted(m for m in sys.modules if 'freshplan' in m))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["freshplan", "freshplan.errors", "freshplan.gaopt"]
 
 
 def test_ga_convergence_script_writes_its_trace(tmp_path):

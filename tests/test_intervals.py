@@ -160,6 +160,6 @@ class TestPredictInterval:
         assert results[0] == results[1]
 
     def test_empty_ensemble_rejected(self):
-        ens = iv.BootstrapEnsemble("S", [])
-        with pytest.raises(InputError):
+        ens = iv.BootstrapEnsemble(models=[])
+        with pytest.raises(InputError, match="empty ensemble"):
             predict_interval(ens, np.zeros(15), np.zeros((7, 10)))
