@@ -10,9 +10,9 @@ shorthand.  The model itself is three kinds of single node with their own
 backward (`layers.py`): a residual block, the attention fusion and the dense
 head, made with the same `Tensor` constructor.
 
-Every tensor takes a creation stamp from one counter.  A node is built after
-its operands, so creation order is topological, and `backward` runs the nodes
-it reaches from newest to oldest.  A tensor needs a gradient when it is
+`backward` runs the nodes that have a `_backward` in reverse depth-first
+postorder, so each node's backward runs after those of every node built from
+it; leaves are never walked.  A tensor needs a gradient when it is
 `requires_grad` or has a `_backward`; `accumulate` drops what arrives for any
 other tensor (raw inputs, targets), and a backward may skip computing a
 gradient for an operand that needs none.
@@ -25,27 +25,21 @@ the same operations in the same order as the textbook expressions.  Elementwise
 IEEE arithmetic does not depend on how the elements are grouped, so this gives
 the same bits as updating tensor by tensor.  Each step ends by clearing every
 grad.
-
-Gradient correctness is validated against central finite differences in the
-test suite; `finite_difference_check` implements the probe.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvariantError
 
-_stamps = itertools.count()
-
 
 class Tensor:
     """Node in a reverse-mode computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_stamp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(
         self,
@@ -59,11 +53,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
-        self._stamp = next(_stamps)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     @property
     def needs_grad(self) -> bool:
@@ -86,9 +75,6 @@ class Tensor:
 
     def __pow__(self, exponent):
         return pow_const(self, float(exponent))
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 # -- elementwise ---------------------------------------------------------
@@ -135,19 +121,25 @@ def mean(a: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Fill gradient slots of every node reachable from a scalar loss.
 
-    Each node's backward runs after those of all nodes built from it, because
-    it runs in order of creation, newest first."""
+    Each node's backward runs after those of all nodes built from it: the
+    nodes run in reverse depth-first postorder, and a node is marked when it
+    is visited, not when it is pushed, so a shared node still follows all of
+    its consumers."""
     if loss.data.shape != ():
         raise InvariantError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    reached, stack = {id(loss): loss}, [loss]
+    order, visited = [], set()
+    stack = [(loss, False)] if loss._backward is not None else []
     while stack:
-        for parent in stack.pop()._parents:
-            if id(parent) not in reached:
-                reached[id(parent)] = parent
-                stack.append(parent)
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if p._backward is not None)
     loss.grad = np.ones(())
-    for node in sorted(reached.values(), key=lambda n: n._stamp, reverse=True):
-        if node._backward is not None and node.grad is not None:
+    for node in reversed(order):
+        if node.grad is not None:
             node._backward(node.grad)
 
 
@@ -204,45 +196,3 @@ class Adam:
         self._flat -= update
         for tensor, _ in self._parts:
             tensor.zero_grad()
-
-
-# -- gradient verification ---------------------------------------------------
-
-
-def finite_difference_check(
-    loss_fn: Callable[[], Tensor],
-    params: Iterable[Tensor],
-    h: float = 1e-4,
-) -> float:
-    """Max relative error between reverse-mode grads and central differences.
-
-    `loss_fn` must rebuild the graph from the current parameter values on every
-    call.  Entries where both gradients are below 1e-7 in magnitude count as
-    exact matches.
-    """
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    backward(loss_fn())
-    analytic = [np.array(p.grad, copy=True) if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-
-    worst = 0.0
-    for p, grad in zip(params, analytic):
-        flat = p.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(loss_fn().data)
-            flat[i] = orig - h
-            down = float(loss_fn().data)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = grad.ravel()[i]
-            if abs(a) < 1e-7 and abs(numeric) < 1e-7:
-                continue
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
-            worst = max(worst, rel)
-    for p in params:
-        p.zero_grad()
-    return worst

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import datetime as dt
 import functools
 import gc
@@ -32,7 +31,7 @@ from . import demand as demand_mod
 from . import forecaster, gaopt, intervals as intervals_mod, mcdm, pipeline
 from .config import RunConfig, RunManifest, derive_seed, load_config
 from .errors import InputError, InvariantError
-from .pipeline import HORIZON_DAYS
+from .pipeline import HORIZON_DAYS, fmt
 from .solarterms import TermBoundaryTable
 
 log = logging.getLogger("freshplan")
@@ -41,17 +40,6 @@ INTERVALS_DAILY_HEADER = ["product_id", "level", "day_offset", "mean", "std", "l
 DEMAND_HEADER = ["product_id", "intercept", "slope", "r_squared", "anomalous_slope"]
 PLAN_HEADER = ["product_id", "price", "allocation", "expected_sales", "expected_profit"]
 GA_TRACE_HEADER = ["generation", "max", "min", "avg"]
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _check_artifact_dirs(config: RunConfig, out_dir: Path) -> None:
@@ -163,14 +151,14 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
         pid, first_day = frame.product_id, frame.start + dt.timedelta(days=len(frame))
         for i, value in enumerate(predicted):
             day = first_day + dt.timedelta(days=i)
-            rows.append([pid, day.isoformat(), _fmt(value)])
+            rows.append([pid, day.isoformat(), fmt(value)])
         for epoch, loss in enumerate(report.loss_curve):
-            curve_rows.append([pid, str(epoch), _fmt(loss)])
+            curve_rows.append([pid, str(epoch), fmt(loss)])
 
     forecast_path = out_dir / config.paths.forecast
-    _write_csv(forecast_path, pipeline.FORECAST.header, rows)
+    pipeline.write_csv(forecast_path, pipeline.FORECAST.header, rows)
     curves_path = out_dir / "loss_curves.csv"
-    _write_csv(curves_path, ["product_id", "epoch", "loss"], curve_rows)
+    pipeline.write_csv(curves_path, ["product_id", "epoch", "loss"], curve_rows)
     manifest.end_stage("forecast", started, [str(forecast_path), str(curves_path)],
                        skipped=skipped, forecast_rows=len(rows), jobs=jobs,
                        **_training_totals([report for _, report in results]))
@@ -201,16 +189,16 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
             weeks, (len(usable), config.bootstrap.replicas, HORIZON_DAYS))):
         pid = frame.product_id
         interval = intervals_mod.fit_interval(daily, level)
-        rows.append([pid, _fmt(level), *map(_fmt, (interval.mean, interval.std,
-                                                   interval.lower, interval.upper))])
+        rows.append([pid, fmt(level), *map(fmt, (interval.mean, interval.std,
+                                                 interval.lower, interval.upper))])
         for day in range(interval.daily.shape[1]):
             day_fit = intervals_mod.normal_fit(interval.daily[:, day], z)
-            daily_rows.append([pid, _fmt(level), str(day), *map(_fmt, day_fit)])
+            daily_rows.append([pid, fmt(level), str(day), *map(fmt, day_fit)])
 
     intervals_path = out_dir / config.paths.intervals
-    _write_csv(intervals_path, pipeline.INTERVALS.header, rows)
+    pipeline.write_csv(intervals_path, pipeline.INTERVALS.header, rows)
     daily_path = out_dir / config.paths.intervals_daily
-    _write_csv(daily_path, INTERVALS_DAILY_HEADER, daily_rows)
+    pipeline.write_csv(daily_path, INTERVALS_DAILY_HEADER, daily_rows)
     manifest.end_stage("intervals", started, [str(intervals_path), str(daily_path)],
                        skipped=skipped, jobs=jobs,
                        **_training_totals([report for _, report in results]))
@@ -219,8 +207,10 @@ def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> No
 
 def _build_criteria(qty: dict[str, pipeline.SeriesFrame],
                     price: dict[str, pipeline.SeriesFrame],
-                    costs: dict[str, pipeline.SeriesFrame]) -> mcdm.CriteriaMatrix:
-    """Total realized profit and total sales volume per product, joined by date."""
+                    costs: dict[str, pipeline.SeriesFrame]) -> tuple[list[str], np.ndarray]:
+    """The product ids present in sales and costs, and per id the total
+    realized profit and total sales volume (`mcdm.DEFAULT_CRITERIA`), joined
+    by date."""
     ids = sorted(set(qty) & set(costs))
     if len(ids) < 2:
         raise InputError("ranking needs at least 2 products present in sales and costs")
@@ -236,7 +226,7 @@ def _build_criteria(qty: dict[str, pipeline.SeriesFrame],
             if 0 <= day < len(cost):
                 profit += q * (p - cost[day])
         x[row] = (profit, volume)
-    return mcdm.CriteriaMatrix(ids, list(mcdm.DEFAULT_CRITERIA), x)
+    return ids, x
 
 
 def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
@@ -247,21 +237,19 @@ def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     cost_frames = pipeline.load_costs(str(costs_path))
     manifest.note_input("sales", sales_path)
     manifest.note_input("costs", costs_path)
-    matrix = _build_criteria(qty_frames, price_frames, cost_frames)
-    weights, result = mcdm.rank_products(matrix)
+    weights, result = mcdm.rank_products(*_build_criteria(qty_frames, price_frames, cost_frames))
 
     scores_by_id = dict(zip(result.product_ids, zip(result.scores, result.d_plus, result.d_minus)))
-    rows = [[str(rank), pid, *map(_fmt, scores_by_id[pid])]
+    rows = [[str(rank), pid, *map(fmt, scores_by_id[pid])]
             for rank, pid in enumerate(result.ranking, start=1)]
     ranking_path = out_dir / config.paths.ranking
-    _write_csv(ranking_path, pipeline.RANKING.header, rows)
+    pipeline.write_csv(ranking_path, pipeline.RANKING.header, rows)
 
-    k = min(config.topsis.top_k, len(result.ranking))
     manifest.end_stage("rank", started, [str(ranking_path)],
                        entropy_weights=[round(v, 6) for v in weights.w],
-                       selected=mcdm.select_top(result, k))
+                       selected=result.ranking[:config.topsis.top_k])
     log.info("rank: %d products, weights=%s", len(rows),
-             ", ".join(f"{name}={w:.4f}" for name, w in zip(matrix.criteria, weights.w)))
+             ", ".join(f"{name}={w:.4f}" for name, w in zip(mcdm.DEFAULT_CRITERIA, weights.w)))
 
 
 def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
@@ -305,8 +293,8 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
         except InputError as exc:  # a constant price or too few days: no curve to plan on
             skip(pid, str(exc))
             continue
-        demand_rows.append([pid, _fmt(curve.intercept), _fmt(curve.slope),
-                            _fmt(curve.r_squared), "true" if curve.anomalous_slope else "false"])
+        demand_rows.append([pid, fmt(curve.intercept), fmt(curve.slope),
+                            fmt(curve.r_squared), "true" if curve.anomalous_slope else "false"])
         planned.append(pid)
         columns.append((unit_cost, curve.intercept, curve.slope, curve.mean_volume,
                         *bounds_by_id[pid]))
@@ -317,22 +305,22 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
                                 mean_volume=mean_volume, lower=lower, upper=upper)
 
     demand_path = out_dir / config.paths.demand
-    _write_csv(demand_path, DEMAND_HEADER, demand_rows)
+    pipeline.write_csv(demand_path, DEMAND_HEADER, demand_rows)
 
     evolve_started = time.perf_counter()
     result = gaopt.evolve(problem, config.ga, seed=derive_seed(config.seed, "optimize"))
     evolve_s = time.perf_counter() - evolve_started
 
-    plan_rows = [[r["product_id"], _fmt(r["price"]), _fmt(r["allocation"]),
-                  _fmt(r["expected_sales"]), _fmt(r["expected_profit"])]
+    plan_rows = [[r["product_id"], fmt(r["price"]), fmt(r["allocation"]),
+                  fmt(r["expected_sales"]), fmt(r["expected_profit"])]
                  for r in gaopt.decode_plan(result.best, problem)]
     plan_path = out_dir / config.paths.plan
-    _write_csv(plan_path, PLAN_HEADER, plan_rows)
+    pipeline.write_csv(plan_path, PLAN_HEADER, plan_rows)
 
-    trace_rows = [[str(s.generation), _fmt(s.max_fitness), _fmt(s.min_fitness),
-                   _fmt(s.avg_fitness)] for s in result.trace]
+    trace_rows = [[str(s.generation), fmt(s.max_fitness), fmt(s.min_fitness),
+                   fmt(s.avg_fitness)] for s in result.trace]
     trace_path = out_dir / config.paths.ga_trace
-    _write_csv(trace_path, GA_TRACE_HEADER, trace_rows)
+    pipeline.write_csv(trace_path, GA_TRACE_HEADER, trace_rows)
 
     extra = {"best_profit": round(result.best_fitness, 6),
              "evaluations": result.evaluations,
@@ -354,11 +342,13 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
 def cmd_evaluate(pred_path: Path, truth_path: Path) -> forecaster.MetricsReport:
     """Join predictions with realized costs on (product_id, date) and score them."""
     predictions = pipeline.read_csv(pred_path, pipeline.FORECAST)
-    truth = pipeline.load_costs(str(truth_path))
+    # The realized costs as read: a date missing from the truth is not filled.
+    truth = {(pid, day): cost
+             for _, (day, pid, cost) in pipeline.read_csv(truth_path, pipeline.COSTS)}
     y, y_hat = [], []
     for _, (pid, day, predicted) in predictions:
-        if pid in truth and 0 <= (offset := (day - truth[pid].start).days) < len(truth[pid]):
-            y.append(truth[pid].values[offset])
+        if (pid, day) in truth:
+            y.append(truth[pid, day])
             y_hat.append(predicted)
     if not y:
         raise InputError("no overlapping (product_id, date) pairs between predictions and truth")

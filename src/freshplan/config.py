@@ -27,12 +27,12 @@ from .errors import InputError
 from .forecaster import ModelConfig, TrainConfig
 from .gaopt import GaConfig
 from .intervals import BootstrapConfig
-from .pipeline import HORIZON_DAYS
+from .pipeline import HORIZON_DAYS, INPUT_DAYS
 
 
 @dataclass
 class WindowConfig:
-    input_days: int = 15
+    input_days: int = INPUT_DAYS
     # Not a key: the model head and the weekly decision loop are built for 7 days.
     horizon_days: ClassVar[int] = HORIZON_DAYS
 

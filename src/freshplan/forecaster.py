@@ -22,9 +22,9 @@ from .autodiff import Adam, Tensor
 from .errors import InputError, InvariantError
 from .pipeline import (HORIZON_DAYS, INPUT_DAYS, Normalizer, SeriesFrame, Windows,
                        fit_normalizer, make_windows)
-from .solarterms import TermBoundaryTable, encode_date_range
+from .solarterms import TERM_CODES, TermBoundaryTable, encode_date_range
 
-TERM_WIDTH = 10
+TERM_WIDTH = TERM_CODES.shape[1]
 
 
 @dataclass

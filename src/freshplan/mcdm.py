@@ -9,28 +9,13 @@ matrix before the distance computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 
 DEFAULT_CRITERIA = ["total_profit", "total_sales_volume"]
-
-
-@dataclass
-class CriteriaMatrix:
-    product_ids: list[str]
-    criteria: list[str]
-    x: np.ndarray                 # raw values, [n, m]
-    z: np.ndarray = field(init=False)  # min-max normalized
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        if self.x.shape != (len(self.product_ids), len(self.criteria)):
-            raise InputError(f"matrix shape {self.x.shape} does not match "
-                             f"{len(self.product_ids)} products x {len(self.criteria)} criteria")
-        self.z = normalize_criteria(self.x)
 
 
 def normalize_criteria(x) -> np.ndarray:
@@ -125,16 +110,9 @@ def topsis_scores(z, w, product_ids: list[str] | None = None) -> TopsisResult:
     )
 
 
-def select_top(result: TopsisResult, k: int = 32) -> list[str]:
-    """The k best-scoring product ids in rank order."""
-    n = len(result.product_ids)
-    if not 1 <= k <= n:
-        raise InputError(f"k must be in 1..{n}, got {k}")
-    return result.ranking[:k]
-
-
-def rank_products(matrix: CriteriaMatrix) -> tuple[EntropyWeights, TopsisResult]:
-    """Entropy weighting followed by TOPSIS scoring of a criteria matrix."""
-    weights = entropy_weights(matrix.z)
-    result = topsis_scores(matrix.z, weights.w, matrix.product_ids)
-    return weights, result
+def rank_products(product_ids: list[str], x) -> tuple[EntropyWeights, TopsisResult]:
+    """Entropy weighting followed by TOPSIS scoring of a raw [n, m] criteria
+    matrix whose rows are `product_ids`, after min-max normalization."""
+    z = normalize_criteria(x)
+    weights = entropy_weights(z)
+    return weights, topsis_scores(z, weights.w, product_ids)

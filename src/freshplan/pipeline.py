@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -285,16 +286,30 @@ def load_sales(path: str) -> tuple[dict[str, SeriesFrame], dict[str, SeriesFrame
     return tuple(_load_series(path, SALES))
 
 
-def _write_series(path: str, schema: Schema, *columns: dict[str, SeriesFrame]) -> None:
-    """Write per-product frames as the value columns of a `date,product_id,...` file."""
+def fmt(value: float) -> str:
+    """A number as every written CSV spells it: six decimals."""
+    return f"{value:.6f}"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows as UTF-8 CSV with LF line endings."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(schema.header)
-        for pid in sorted(columns[0]):
-            frames = [column[pid] for column in columns]
-            days = [day.isoformat() for day in frames[0].dates]
-            writer.writerows(zip(days, [pid] * len(days), *(
-                [f"{value:.6f}" for value in frame.values.tolist()] for frame in frames)))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_series(path: str, schema: Schema, *columns: dict[str, SeriesFrame]) -> None:
+    """Write per-product frames as the value columns of a `date,product_id,...`
+    file, one product's rows at a time."""
+    def product_rows(pid: str):
+        frames = [column[pid] for column in columns]
+        days = [day.isoformat() for day in frames[0].dates]
+        return zip(days, [pid] * len(days),
+                   *([fmt(value) for value in frame.values.tolist()] for frame in frames))
+
+    write_csv(path, schema.header,
+              itertools.chain.from_iterable(map(product_rows, sorted(columns[0]))))
 
 
 def write_costs(path: str, frames: dict[str, SeriesFrame]) -> None:

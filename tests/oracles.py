@@ -5,13 +5,16 @@ from the vectorized library code they check.  Where a test pins the bits of a
 rewrite, the reference is the earlier vectorized form of the same arithmetic
 (`adam_reference`, `topo_order_reference`, `residual_block_reference`,
 `attention_reference`, `gaussian_mutate_reference`, `term_indices_reference`).
-`holdout_mse` and `naive_mse` are A7's two error measures.
+`finite_difference_check` compares reverse-mode gradients with central
+differences, and `holdout_mse` and `naive_mse` are A7's two error measures.
 """
 
 import datetime as dt
 import math
 
 import numpy as np
+
+from freshplan import autodiff as ad
 
 
 def conv_reference(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, dilation: int) -> np.ndarray:
@@ -274,6 +277,41 @@ def topo_order_reference(root) -> list:
             if pcolor == white:
                 stack.append((parent, False))
     return order
+
+
+def finite_difference_check(loss_fn, params, h: float = 1e-4) -> float:
+    """Max relative error between reverse-mode grads and central differences.
+
+    `loss_fn` must rebuild the graph from the current parameter values on every
+    call.  Entries where both gradients are below 1e-7 in magnitude count as
+    exact matches.
+    """
+    params = list(params)
+    for p in params:
+        p.zero_grad()
+    ad.backward(loss_fn())
+    analytic = [np.array(p.grad, copy=True) if p.grad is not None else np.zeros_like(p.data)
+                for p in params]
+
+    worst = 0.0
+    for p, grad in zip(params, analytic):
+        flat = p.data.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = float(loss_fn().data)
+            flat[i] = orig - h
+            down = float(loss_fn().data)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            a = grad.ravel()[i]
+            if abs(a) < 1e-7 and abs(numeric) < 1e-7:
+                continue
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-5)
+            worst = max(worst, rel)
+    for p in params:
+        p.zero_grad()
+    return worst
 
 
 def residual_block_reference(x, kernel, bias, projection, dilation: int, g):

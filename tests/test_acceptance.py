@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 import pytest
-from oracles import (conv_reference, holdout_mse, naive_mse, plan_columns,
-                     single_product_grid_optimum, topsis_reference)
+from oracles import (conv_reference, finite_difference_check, holdout_mse, naive_mse,
+                     plan_columns, single_product_grid_optimum, topsis_reference)
 
 from freshplan import autodiff as ad
 from freshplan import cli, forecaster, gaopt, intervals as iv, layers, mcdm, pipeline
@@ -78,7 +78,7 @@ def test_a03_gradient_oracle_on_micro_forecaster():
 
     params = model.params()
     count = sum(t.data.size for t in params)
-    worst = ad.finite_difference_check(loss_fn, params, h=1e-4)
+    worst = finite_difference_check(loss_fn, params, h=1e-4)
     assert worst < 1e-3, f"max relative gradient error {worst:.2e}"
     _finish("A3", started, 30.0,
             f"{count} parameters, max relative error {worst:.2e} < 1e-3")

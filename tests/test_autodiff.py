@@ -45,8 +45,8 @@ def test_sub_rejects_unequal_shapes():
 
 @pytest.mark.parametrize("shape", ["deploy", "replica"])
 @pytest.mark.parametrize("batch", [1, 64])
-def test_creation_order_sweep_matches_topological_reference(shape, batch):
-    """Running the node backprops newest first gives the bits of the
+def test_backward_sweep_matches_topological_reference(shape, batch):
+    """`backward`'s sweep over the nodes with a backward gives the bits of the
     depth-first topological order, for every parameter of the loss graph."""
     config = ModelConfig() if shape == "deploy" else BootstrapConfig().model(ModelConfig().kernel)
     model = ForecasterModel.create(Normalizer(0.0, 1.0), "G", 3, config)

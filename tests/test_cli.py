@@ -677,13 +677,13 @@ class TestWorkerPool:
             ensemble, frame.values[-15:],
             encode_date_range(frame.dates[-1] + dt.timedelta(days=1), 7), level=0.9)
         z = intervals.z_for_level(0.9)
-        pid, level = frame.product_id, cli._fmt(0.9)
-        weekly = [[pid, level, *map(cli._fmt, (interval.mean, interval.std, interval.lower,
-                                               interval.upper))]]
+        pid, level = frame.product_id, pipeline.fmt(0.9)
+        weekly = [[pid, level, *map(pipeline.fmt, (interval.mean, interval.std,
+                                                   interval.lower, interval.upper))]]
         daily = []
         for day in range(7):
             mean, std = interval.daily[:, day].mean(), interval.daily[:, day].std()
-            daily.append([pid, level, str(day), *map(cli._fmt, (
+            daily.append([pid, level, str(day), *map(pipeline.fmt, (
                 mean, std, max(0.0, mean - z * std), mean + z * std))])
         assert read_rows(tmp_path / "intervals.csv") == weekly
         assert read_rows(tmp_path / "intervals_daily.csv") == daily
@@ -751,6 +751,16 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "MSE=0.666667" in out
         assert "RMSE=0.816497" in out
+
+    def test_evaluate_scores_only_dates_the_truth_has(self, tmp_path, capsys):
+        truth = tmp_path / "costs.csv"
+        truth.write_text("date,product_id,wholesale_cost\n"
+                         "2024-01-01,A,1.0\n2024-01-03,A,3.0\n")
+        pred = tmp_path / "forecast.csv"
+        pred.write_text("product_id,date,predicted_cost\n"
+                        "A,2024-01-01,1.0\nA,2024-01-02,5.0\nA,2024-01-03,3.0\n")
+        assert cli.run(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 0
+        assert capsys.readouterr().out.startswith("n=2 MSE=0.000000 ")
 
     def test_evaluate_without_overlap_is_input_error(self, tmp_path):
         truth = tmp_path / "costs.csv"

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import topo_order_reference
+from oracles import finite_difference_check, topo_order_reference
 
 from freshplan import autodiff as ad, forecaster, pipeline
 from freshplan.config import RunConfig, load_config
@@ -164,7 +164,7 @@ class TestGradientOracle:
             pred = model.forward(ad.Tensor(h), ad.Tensor(t))
             return ad.mean((pred - ad.Tensor(y)) ** 2)
 
-        err = ad.finite_difference_check(loss_fn, model.params())
+        err = finite_difference_check(loss_fn, model.params())
         assert err < 1e-3
 
 

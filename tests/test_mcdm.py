@@ -6,14 +6,7 @@ from oracles import topsis_reference
 
 from freshplan import mcdm
 from freshplan.errors import InputError
-from freshplan.mcdm import (
-    CriteriaMatrix,
-    entropy_weights,
-    normalize_criteria,
-    rank_products,
-    select_top,
-    topsis_scores,
-)
+from freshplan.mcdm import entropy_weights, normalize_criteria, rank_products, topsis_scores
 
 
 def pipeline_under_test(x):
@@ -141,38 +134,31 @@ class TestSelectTop:
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 100, size=(n, 2))
         ids = [f"P{i:02d}" for i in range(n)]
-        matrix = CriteriaMatrix(ids, ["total_profit", "total_sales_volume"], x)
-        _, result = rank_products(matrix)
+        _, result = rank_products(ids, x)
         return result
 
     def test_full_selection_is_rank_order(self):
         result = self.make_result(8)
-        assert select_top(result, 8) == result.ranking
+        assert result.ranking[:8] == result.ranking
+        scores = dict(zip(result.product_ids, result.scores))
+        assert all(scores[a] >= scores[b] for a, b in zip(result.ranking, result.ranking[1:]))
 
     def test_single_best(self):
         result = self.make_result(8)
         best = result.product_ids[int(np.argmax(result.scores))]
-        assert select_top(result, 1) == [best]
+        assert result.ranking[:1] == [best]
 
     def test_selects_32_unique_of_61(self):
         result = self.make_result(61)
-        chosen = select_top(result, 32)
+        chosen = result.ranking[:32]
         assert len(chosen) == 32
         assert len(set(chosen)) == 32
-
-    def test_out_of_range_rejected(self):
-        result = self.make_result(5)
-        with pytest.raises(InputError):
-            select_top(result, 6)
-        with pytest.raises(InputError):
-            select_top(result, 0)
 
 
 def test_criteria_matrix_scores_in_unit_interval():
     rng = np.random.default_rng(6)
-    matrix = CriteriaMatrix([f"P{i}" for i in range(10)],
-                            ["total_profit", "total_sales_volume"],
-                            rng.uniform(-10, 500, size=(10, 2)))
-    _, result = rank_products(matrix)
+    x = rng.uniform(-10, 500, size=(10, 2))
+    _, result = rank_products([f"P{i}" for i in range(10)], x)
+    z = normalize_criteria(x)
     assert np.all((result.scores >= 0.0) & (result.scores <= 1.0))
-    assert np.all(matrix.z >= 0.0) and np.all(matrix.z <= 1.0)
+    assert np.all(z >= 0.0) and np.all(z <= 1.0)
