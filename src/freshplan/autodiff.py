@@ -24,7 +24,8 @@ expressions once to the whole vector, in place on its moment vectors and with
 the same operations in the same order as the textbook expressions.  Elementwise
 IEEE arithmetic does not depend on how the elements are grouped, so this gives
 the same bits as updating tensor by tensor.  Each step ends by clearing every
-grad.
+grad.  Its moment decays and epsilon are the textbook constants `BETA1`,
+`BETA2` and `EPS`; only the learning rate is a parameter.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvariantError
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
@@ -153,14 +156,10 @@ class Adam:
     optimizer; updates write that vector in place.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         if len({id(t) for t in params}) != len(params):
             raise InvariantError("a parameter is listed twice")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._flat = np.concatenate([t.data.ravel() for t in params])
         self._parts: list[tuple[Tensor, slice]] = []
@@ -181,17 +180,17 @@ class Adam:
                 raise InvariantError("a parameter has no gradient")
             g[part] = tensor.grad.reshape(-1)
         self.t += 1
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        g_sq = (1.0 - self.beta2) * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        g_sq = (1.0 - BETA2) * g
         g_sq *= g
         v += g_sq
-        update = m / (1.0 - self.beta1 ** self.t)
+        update = m / (1.0 - BETA1 ** self.t)
         update *= self.lr
-        denom = v / (1.0 - self.beta2 ** self.t)
+        denom = v / (1.0 - BETA2 ** self.t)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += EPS
         update /= denom
         self._flat -= update
         for tensor, _ in self._parts:

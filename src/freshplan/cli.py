@@ -31,7 +31,7 @@ from . import demand as demand_mod
 from . import forecaster, gaopt, intervals as intervals_mod, mcdm, pipeline
 from .config import RunConfig, RunManifest, derive_seed, load_config
 from .errors import InputError, InvariantError
-from .pipeline import HORIZON_DAYS, fmt
+from .pipeline import HORIZON_DAYS, INPUT_DAYS, fmt
 from .solarterms import TermBoundaryTable
 
 log = logging.getLogger("freshplan")
@@ -51,10 +51,12 @@ def _check_artifact_dirs(config: RunConfig, out_dir: Path) -> None:
             raise InputError(f"paths.{key}: directory {directory} does not exist")
 
 
-def _boundary_table(config: RunConfig, manifest: RunManifest) -> TermBoundaryTable:
+def _boundary_table(config: RunConfig, out_dir: Path, manifest: RunManifest) -> TermBoundaryTable:
+    """The built-in table, or the override `paths.boundaries` names under `out_dir`."""
     if config.paths.boundaries:
-        table = pipeline.load_boundaries(config.paths.boundaries)
-        manifest.note_input("boundaries", config.paths.boundaries)
+        path = out_dir / config.paths.boundaries
+        table = pipeline.load_boundaries(path)
+        manifest.note_input("boundaries", path)
         return table
     return TermBoundaryTable()
 
@@ -64,7 +66,7 @@ def _boundary_table(config: RunConfig, manifest: RunManifest) -> TermBoundaryTab
 
 def cmd_synth(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     started = time.perf_counter()
-    table = _boundary_table(config, manifest)
+    table = _boundary_table(config, out_dir, manifest)
     costs, sales, prices = pipeline.generate_synthetic(
         config.synth.products, config.synth.days, derive_seed(config.seed, "synth"), table)
     costs_path = out_dir / config.paths.costs
@@ -132,16 +134,16 @@ def _training_totals(reports: list[forecaster.TrainReport]) -> dict:
 
 def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     started = time.perf_counter()
-    table = _boundary_table(config, manifest)
+    table = _boundary_table(config, out_dir, manifest)
     costs_path = out_dir / config.paths.costs
     frames = pipeline.load_costs(str(costs_path))
     manifest.note_input("costs", costs_path)
 
-    usable, skipped = _usable_frames(frames, config.window.input_days + HORIZON_DAYS, "forecast")
+    usable, skipped = _usable_frames(frames, INPUT_DAYS + HORIZON_DAYS, "forecast")
     tasks = []
     for frame in usable:
         seed = derive_seed(config.seed, "forecast", frame.product_id)
-        history, terms = forecaster.next_week(frame, table, config.window.input_days)
+        history, terms = forecaster.next_week(frame, table)
         tasks.append(forecaster.FitTask(frame, table, config.tcn, seed, derive_seed(seed, "order"),
                                         config.train, history, terms))
     with _task_map(len(tasks)) as (task_map, jobs):
@@ -167,18 +169,17 @@ def cmd_forecast(config: RunConfig, out_dir: Path, manifest: RunManifest) -> Non
 
 def cmd_intervals(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     started = time.perf_counter()
-    table = _boundary_table(config, manifest)
+    table = _boundary_table(config, out_dir, manifest)
     sales_path = out_dir / config.paths.sales
     qty_frames, _ = pipeline.load_sales(str(sales_path))
     manifest.note_input("sales", sales_path)
 
     model = config.bootstrap.model(config.tcn.kernel)
-    usable, skipped = _usable_frames(
-        qty_frames, config.window.input_days + HORIZON_DAYS, "intervals")
+    usable, skipped = _usable_frames(qty_frames, INPUT_DAYS + HORIZON_DAYS, "intervals")
     # One flat task stream, so that one product's replicas also spread over the workers.
     tasks = (task for frame in usable for task in intervals_mod.replica_tasks(
         frame, config.bootstrap, model, derive_seed(config.seed, "intervals", frame.product_id),
-        table, config.window.input_days))
+        table))
     with _task_map(len(usable) * config.bootstrap.replicas) as (task_map, jobs):
         results = list(task_map(forecaster.fit_and_forecast, tasks))
     weeks = [week for week, _ in results]

@@ -4,8 +4,8 @@ One branch convolves the scaled 15-day cost history, the other the 7x10
 solar-term bit matrix of the target week; attention fuses both into a single
 feature row and an affine head emits the 7 scaled daily costs.  Training
 minimizes MSE on scaled targets with Adam, in shuffled mini-batches of
-`TrainConfig.batch_size` windows.  Both training stages run `fit_and_forecast`
-on a `FitTask`: numbers out, no model.
+`BATCH_SIZE` (64) windows at both the deployed and the replica shape.  Both
+training stages run `fit_and_forecast` on a `FitTask`: numbers out, no model.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .pipeline import (HORIZON_DAYS, INPUT_DAYS, Normalizer, SeriesFrame, Window
 from .solarterms import TERM_CODES, TermBoundaryTable, encode_date_range
 
 TERM_WIDTH = TERM_CODES.shape[1]
+BATCH_SIZE = 64  # windows per Adam step in `fit`
 
 
 @dataclass
@@ -45,7 +46,6 @@ class TrainConfig:
 
     epochs: int = 100
     lr: float = 1e-3
-    batch_size: int = 64  # 0 = full batch
 
 
 @dataclass
@@ -138,13 +138,12 @@ def train(model: ForecasterModel, windows: Windows, epochs: int, lr: float, seed
                        steps=optimizer.t)
 
 
-def predict(model: ForecasterModel, history, future_terms,
-            input_days: int = INPUT_DAYS) -> np.ndarray:
-    """Forecast 7 raw daily costs from the last `input_days` raw costs and the
-    week's term bits."""
+def predict(model: ForecasterModel, history, future_terms) -> np.ndarray:
+    """Forecast 7 raw daily costs from the last 15 raw costs and the week's
+    term bits."""
     history = np.asarray(history, dtype=np.float64)
-    if history.shape != (input_days,):
-        raise InputError(f"history must have length {input_days}, got shape {history.shape}")
+    if history.shape != (INPUT_DAYS,):
+        raise InputError(f"history must have length {INPUT_DAYS}, got shape {history.shape}")
     future_terms = np.asarray(future_terms, dtype=np.float64)
     if future_terms.shape != (HORIZON_DAYS, TERM_WIDTH):
         raise InputError(f"future_terms must be {HORIZON_DAYS}x{TERM_WIDTH}")
@@ -156,7 +155,7 @@ def predict(model: ForecasterModel, history, future_terms,
 @dataclass(frozen=True)
 class FitTask:
     """One model to train on `series`, and the `predict` inputs of the week it
-    forecasts; `len(history)` is also the window length trained on."""
+    forecasts."""
 
     series: SeriesFrame
     table: TermBoundaryTable
@@ -168,12 +167,11 @@ class FitTask:
     terms: np.ndarray
 
 
-def next_week(frame: SeriesFrame, table: TermBoundaryTable,
-              input_days: int = INPUT_DAYS) -> tuple[np.ndarray, np.ndarray]:
-    """`history` and `terms` of the week after `frame` ends: its last
-    `input_days` values and the term bits of the 7 days that follow."""
+def next_week(frame: SeriesFrame, table: TermBoundaryTable) -> tuple[np.ndarray, np.ndarray]:
+    """`history` and `terms` of the week after `frame` ends: its last 15
+    values and the term bits of the 7 days that follow."""
     first_day = frame.start + dt.timedelta(days=len(frame))
-    return frame.values[-input_days:], encode_date_range(first_day, HORIZON_DAYS, table)
+    return frame.values[-INPUT_DAYS:], encode_date_range(first_day, HORIZON_DAYS, table)
 
 
 def fit(task: FitTask) -> tuple[ForecasterModel, TrainReport]:
@@ -181,17 +179,17 @@ def fit(task: FitTask) -> tuple[ForecasterModel, TrainReport]:
     fit on the whole series."""
     series = task.series
     normalizer = fit_normalizer(series.values)
-    windows = make_windows(series, task.table, len(task.history), HORIZON_DAYS, normalizer)
+    windows = make_windows(series, task.table, normalizer)
     model = ForecasterModel.create(normalizer, series.product_id, task.model_seed, task.config)
     report = train(model, windows, task.train.epochs, task.train.lr, seed=task.order_seed,
-                   batch_size=task.train.batch_size)
+                   batch_size=BATCH_SIZE)
     return model, report
 
 
 def fit_and_forecast(task: FitTask) -> tuple[np.ndarray, TrainReport]:
     """`fit` the task, then its week's 7 raw forecasts and the training report."""
     model, report = fit(task)
-    return predict(model, task.history, task.terms, len(task.history)), report
+    return predict(model, task.history, task.terms), report
 
 
 @dataclass

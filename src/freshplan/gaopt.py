@@ -11,7 +11,8 @@ wholesale cost, for the whole population at once.  Per-product profits are
 summed left to right, because np.sum's pairwise order rounds differently from a
 loop over products and would change plans.  Tournament selection, per-gene
 blend crossover, Gaussian mutation with a geometrically decaying step, and
-one-elite survivor selection drive the search.
+one-elite survivor selection (always on: the best plan so far survives every
+generation) drive the search.
 
 Each generation is bred as whole-array expressions from five population-wide
 draws, always in this order: tournament contenders [2 * pairs, tournament]
@@ -163,7 +164,6 @@ class GaConfig:
     pop: int = 200
     gens: int = 500
     tournament: int = 3
-    elitism: int = 1             # 1 carries the best individual so far over
     crossover_rate: float = 0.9
     mutation_prob: float = 0.1   # per-gene mutation probability
     sigma_fraction: float = 0.1  # Gaussian sigma as a fraction of the gene's box width
@@ -210,8 +210,8 @@ def breed(pop: np.ndarray, fits: np.ndarray, problem: PlanProblem, config: GaCon
 
 def evolve(problem: PlanProblem, config: GaConfig | None = None,
            seed: int = 0) -> GaResult:
-    """Run the GA.  Only with `elitism` 1 is the best individual so far carried
-    over, in place of the worst child, so that the trace's best never falls.
+    """Run the GA.  The best individual so far is carried over in place of
+    each generation's worst child, so that the trace's best never falls.
 
     The generator is seeded with `seed`.  It draws the [pop, 2N] initial
     population, then per generation: tournament contenders, crossover
@@ -243,10 +243,9 @@ def evolve(problem: PlanProblem, config: GaConfig | None = None,
             best = children[gen_best].copy()
             best_fit = float(child_fits[gen_best])
             last_improvement = gen
-        if config.elitism == 1:
-            worst = int(np.argmin(child_fits))
-            children[worst] = best
-            child_fits[worst] = best_fit
+        worst = int(np.argmin(child_fits))
+        children[worst] = best
+        child_fits[worst] = best_fit
         pop, fits = children, child_fits
         scale *= config.sigma_decay
 

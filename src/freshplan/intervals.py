@@ -55,11 +55,6 @@ class SalesInterval:
 @dataclass
 class BootstrapEnsemble:
     models: list[ForecasterModel]
-    input_days: int = INPUT_DAYS
-
-
-# Not a key: the replicas' mini-batch size.
-REPLICA_BATCH_SIZE = 64
 
 
 @dataclass
@@ -83,20 +78,19 @@ class BootstrapConfig:
 
 
 def replica_tasks(sales: SeriesFrame, config: BootstrapConfig, model: ModelConfig, seed: int = 0,
-                  table: TermBoundaryTable | None = None,
-                  input_days: int = INPUT_DAYS) -> list[FitTask]:
+                  table: TermBoundaryTable | None = None) -> list[FitTask]:
     """One `model` task per replica, each training on a contiguous random slice
     covering at least `config.min_fraction` of the series and forecasting the
     week after the whole series.  Replica r draws its slice length, slice
     start, model seed and order seed, in that order, from (seed, r)."""
     n = len(sales)
-    min_len = max(int(math.ceil(config.min_fraction * n)), input_days + HORIZON_DAYS)
+    min_len = max(int(math.ceil(config.min_fraction * n)), INPUT_DAYS + HORIZON_DAYS)
     if min_len > n:
         raise InputError(f"series too short: {n} days cannot fit a "
-                         f"{input_days + HORIZON_DAYS}-day training slice")
+                         f"{INPUT_DAYS + HORIZON_DAYS}-day training slice")
     table = table if table is not None else TermBoundaryTable()
-    train = TrainConfig(config.epochs, config.lr, REPLICA_BATCH_SIZE)
-    history, terms = forecaster.next_week(sales, table, input_days)
+    train = TrainConfig(config.epochs, config.lr)
+    history, terms = forecaster.next_week(sales, table)
     tasks = []
     for r in range(config.replicas):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 577, r]))
@@ -110,11 +104,10 @@ def replica_tasks(sales: SeriesFrame, config: BootstrapConfig, model: ModelConfi
 
 
 def bootstrap_train(sales: SeriesFrame, config: BootstrapConfig, model: ModelConfig,
-                    seed: int = 0, table: TermBoundaryTable | None = None,
-                    input_days: int = INPUT_DAYS) -> BootstrapEnsemble:
+                    seed: int = 0, table: TermBoundaryTable | None = None) -> BootstrapEnsemble:
     """The fitted models of `replica_tasks`, in replica order."""
-    tasks = replica_tasks(sales, config, model, seed, table, input_days)
-    return BootstrapEnsemble([forecaster.fit(task)[0] for task in tasks], input_days)
+    tasks = replica_tasks(sales, config, model, seed, table)
+    return BootstrapEnsemble([forecaster.fit(task)[0] for task in tasks])
 
 
 def normal_fit(samples: np.ndarray, z: float) -> tuple[float, float, float, float]:
@@ -142,6 +135,5 @@ def fit_interval(daily: np.ndarray, level: float = 0.95) -> SalesInterval:
 def predict_interval(ensemble: BootstrapEnsemble, history, future_terms,
                      level: float = 0.95) -> SalesInterval:
     """`fit_interval` over the ensemble's forecasts from `history` and `future_terms`."""
-    daily = [forecaster.predict(m, history, future_terms, ensemble.input_days)
-             for m in ensemble.models]
+    daily = [forecaster.predict(m, history, future_terms) for m in ensemble.models]
     return fit_interval(np.reshape(daily, (-1, HORIZON_DAYS)), level)

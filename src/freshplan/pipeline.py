@@ -4,8 +4,9 @@ Every input CSV has a `Schema` (exact header, column kinds and bounds, key
 columns).  `read_csv`, the one reader of all seven inputs, parses a file by its
 schema and rejects a bad one with an InputError naming the file and line.
 
-Forecasting windows pair 15 days of scaled history with the solar-term bit
-matrix of the following 7 days and those days' scaled values as the target;
+Forecasting windows pair 15 days (`INPUT_DAYS`) of scaled history with the
+solar-term bit matrix of the following 7 days (`HORIZON_DAYS`) and those days'
+scaled values as the target; both lengths are fixed, not config keys;
 the window slides one day at a time.  `make_windows` returns them as one
 `Windows` record of stacked arrays, one row per window (histories [n, 15],
 terms [n, 7, 10], targets [n, 7]), built from strided views of the scaled
@@ -89,9 +90,9 @@ def fit_normalizer(values) -> Normalizer:
 class Windows:
     """Every one-day-stride window of one series, one row per window."""
 
-    histories: np.ndarray  # [n, input_days] scaled history
-    terms: np.ndarray      # [n, horizon, 10] term bits of the target days
-    targets: np.ndarray    # [n, horizon] scaled target
+    histories: np.ndarray  # [n, 15] scaled history
+    terms: np.ndarray      # [n, 7, 10] term bits of the target days
+    targets: np.ndarray    # [n, 7] scaled target
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -102,17 +103,12 @@ class Windows:
         return Windows(self.histories[key], self.terms[key], self.targets[key])
 
 
-def make_windows(
-    costs: SeriesFrame,
-    table: TermBoundaryTable | None = None,
-    input_days: int = INPUT_DAYS,
-    horizon: int = HORIZON_DAYS,
-    normalizer: Normalizer | None = None,
-) -> Windows:
+def make_windows(costs: SeriesFrame, table: TermBoundaryTable | None = None,
+                 normalizer: Normalizer | None = None) -> Windows:
     """Build every one-day-stride window; values are scaled by `normalizer`
     (fit on the whole series when not supplied)."""
     table = table if table is not None else TermBoundaryTable()
-    span = input_days + horizon
+    span = INPUT_DAYS + HORIZON_DAYS
     n = len(costs)
     if n < span:
         raise InputError(f"insufficient history: {n} days < {span}")
@@ -121,10 +117,10 @@ def make_windows(
     scaled = normalizer.normalize(costs.values)
     window = np.lib.stride_tricks.sliding_window_view
     return Windows(
-        histories=np.ascontiguousarray(window(scaled[:n - horizon], input_days)),
+        histories=np.ascontiguousarray(window(scaled[:n - HORIZON_DAYS], INPUT_DAYS)),
         terms=TERM_CODES[window(table.term_indices(
-            costs.start + dt.timedelta(days=input_days), n - input_days), horizon)],
-        targets=np.ascontiguousarray(window(scaled[input_days:], horizon)),
+            costs.start + dt.timedelta(days=INPUT_DAYS), n - INPUT_DAYS), HORIZON_DAYS)],
+        targets=np.ascontiguousarray(window(scaled[INPUT_DAYS:], HORIZON_DAYS)),
     )
 
 

@@ -137,7 +137,7 @@ class TestStages:
         assert stages["optimize"]["evaluations_per_s"] > 0
         # Training cost per stage: one Adam step per mini-batch of every epoch.
         windows = cfg.synth.days - cfg.window.input_days - pipeline.HORIZON_DAYS + 1
-        batches = -(-windows // cfg.train.batch_size)
+        batches = -(-windows // forecaster.BATCH_SIZE)
         assert stages["forecast"]["steps"] == 6 * cfg.train.epochs * batches
         assert stages["intervals"]["steps"] >= 6 * 2 * cfg.bootstrap.epochs
         for stage in ("forecast", "intervals"):
@@ -558,6 +558,20 @@ class TestInputSchemas:
                                      "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
                               for name, path in paths.items()}
 
+    def test_boundaries_path_is_relative_to_out(self, tmp_path, monkeypatch):
+        """Like every `paths.*` key, a relative `paths.boundaries` names a file
+        under `--out`, not under the working directory."""
+        out = tmp_path / "out"
+        out.mkdir()
+        boundaries = [f"{i},{m},{d}" for i, (m, d) in enumerate(DEFAULT_BOUNDARIES)]
+        (out / "b.csv").write_text("term_index,month,day\n" + "\n".join(boundaries) + "\n")
+        monkeypatch.chdir(tmp_path)
+        settings = ["paths.boundaries=b.csv", "synth.products=2", "synth.days=40"]
+        argv = ["--out", "out", *(f for s in settings for f in ("--set", s)), "synth"]
+        assert exit_code(monkeypatch, argv) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs["boundaries"]["path"] == str(Path("out", "b.csv"))
+
     @pytest.mark.parametrize("change,message", [
         ("score", "ranking.csv:3: score must be a finite number, got 'abc'"),
         ("reorder", "ranking.csv:2: rank must be 1 (ranks count 1..n in file order), got '2'"),
@@ -866,15 +880,13 @@ class TestCommandLine:
 # config check rejects all but one before any stage runs (exit 1, the key named);
 # train.lr=1e300 passes it, and the model it trains diverges (exit 2).
 BAD_CONFIG_VALUES = [
-    ("window.input_days", "0", 1),
     ("tcn.channels", "0", 1), ("tcn.kernel", "0", 1), ("tcn.dilations", "1,0", 1),
     ("train.epochs", "-1", 1), ("train.lr", "0", 1), ("train.lr", "1e300", 2),
-    ("train.batch_size", "-1", 1),
     ("bootstrap.replicas", "0", 1), ("bootstrap.min_fraction", "0", 1),
     ("bootstrap.level", "1", 1), ("bootstrap.channels", "0", 1),
     ("bootstrap.dilations", "0", 1), ("bootstrap.epochs", "-1", 1), ("bootstrap.lr", "inf", 1),
     ("topsis.top_k", "0", 1),
-    ("ga.pop", "0", 1), ("ga.gens", "-1", 1), ("ga.tournament", "0", 1), ("ga.elitism", "2", 1),
+    ("ga.pop", "0", 1), ("ga.gens", "-1", 1), ("ga.tournament", "0", 1),
     ("ga.crossover_rate", "1.5", 1), ("ga.mutation_prob", "-0.1", 1),
     ("ga.sigma_fraction", "nan", 1), ("ga.sigma_decay", "0", 1),
     ("synth.products", "0", 1), ("synth.days", "29", 1),
@@ -903,6 +915,22 @@ class TestConfigValues:
             assert not out.exists()
         else:
             assert "training loss diverged" in caplog.text
+
+    @pytest.mark.parametrize("key,value", [("window.input_days", "15"),
+                                           ("train.batch_size", "64"), ("ga.elitism", "1")])
+    def test_fixed_setting_in_config_file_exits_1(self, tmp_path, monkeypatch, capsys, caplog,
+                                                  key, value):
+        """The window, the batch size and elitism are constants, not keys: a
+        config file that still sets one is refused before any stage runs."""
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key}={value}\n")
+        out = tmp_path / "out"
+        settings = [f for setting in SMALL_RUN for f in ("--set", setting)]
+        argv = ["--config", str(cfg_file), "--out", str(out), *settings, "synth"]
+        assert exit_code(monkeypatch, argv) == 1
+        assert f"unknown config key: {key}" in caplog.text
+        assert "Traceback" not in caplog.text + capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_key_has_a_case_or_a_reason(self):
         covered = {key for key, _, _ in BAD_CONFIG_VALUES} | set(NO_BAD_VALUE)

@@ -23,7 +23,6 @@ def test_defaults_match_documented_values():
     assert cfg.ga.pop == 200
     assert cfg.ga.gens == 500
     assert cfg.ga.tournament == 3
-    assert cfg.ga.elitism == 1
     assert cfg.ga.crossover_rate == 0.9
     assert cfg.ga.mutation_prob == 0.1
     assert cfg.ga.sigma_fraction == 0.1
@@ -41,7 +40,8 @@ def test_file_and_overrides(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["ga.popsize", "ga.__doc__", "ga.__class__",
-                                 "window.horizon_days"])
+                                 "window.horizon_days", "window.input_days",
+                                 "train.batch_size", "ga.elitism"])
 def test_unknown_key_rejected(key):
     with pytest.raises(InputError, match="unknown config key"):
         apply_setting(RunConfig(), key, "10")
@@ -56,6 +56,8 @@ def test_bad_value_rejected():
     "bootstrap.level=1.5",
     "tcn.dilations=",
     "tcn.dilations=1,0",
+    "tcn.dilations=1,,2",
+    "bootstrap.dilations=,1",
     "bootstrap.dilations=",
     "bootstrap.dilations=-2",
     "bootstrap.channels=0",
@@ -65,14 +67,11 @@ def test_bad_value_rejected():
     "bootstrap.min_fraction=1.5",
     "bootstrap.level=0",
     "train.epochs=-1",
-    "train.batch_size=-1",
     "train.lr=nan",
     "train.lr=-1",
     "train.lr=0",
     "bootstrap.lr=inf",
     "bootstrap.lr=0",
-    "ga.elitism=2",
-    "ga.elitism=-1",
     "paths.costs=",
     "paths.plan=",
 ])
@@ -82,6 +81,16 @@ def test_invalid_combination_rejected(tmp_path, setting):
     key = setting.partition("=")[0]
     with pytest.raises(InputError, match=re.escape(key)):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("value,message", [
+    ("1,,2", "bad value for tcn.dilations: '1,,2'"),
+    (",1", "bad value for tcn.dilations: ',1'"),
+])
+def test_empty_list_item_is_a_bad_value(value, message):
+    """An empty item is not dropped: it fails as a value, not by the key's rule."""
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_config(None, [f"tcn.dilations={value}"])
 
 
 def test_malformed_line_rejected(tmp_path):

@@ -2,7 +2,6 @@ import dataclasses
 import datetime as dt
 import os
 import pickle
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,8 +57,6 @@ def test_bad_model_config_rejected(fields, message):
     (BootstrapConfig, {"replicas": 0}, "bootstrap.replicas must be >= 1, got 0"),
     (BootstrapConfig, {"channels": 0}, "bootstrap.channels must be >= 1, got 0"),
     (TrainConfig, {"lr": 0}, "train.lr must be finite and > 0, got 0"),
-    (TrainConfig, {"batch_size": -1},
-     re.escape("train.batch_size must be >= 0 (0 = full batch), got -1")),
 ])
 def test_bad_training_config_rejected(config_type, fields, message):
     """`fields` of the run config section that holds a `config_type`, set through

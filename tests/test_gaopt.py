@@ -259,8 +259,8 @@ class TestCrossover:
 
 class TestGaConfig:
     @pytest.mark.parametrize("field,value", [
-        ("pop", 0), ("pop", -3), ("gens", -1), ("tournament", 0), ("elitism", -1),
-        ("elitism", 2), ("elitism", 3), ("crossover_rate", -0.1), ("crossover_rate", 2.0),
+        ("pop", 0), ("pop", -3), ("gens", -1), ("tournament", 0),
+        ("crossover_rate", -0.1), ("crossover_rate", 2.0),
         ("crossover_rate", float("nan")), ("mutation_prob", 1.5), ("sigma_decay", 0.0),
         ("sigma_fraction", float("nan")), ("sigma_fraction", float("inf"))])
     def test_bad_field_rejected(self, field, value):
@@ -268,9 +268,9 @@ class TestGaConfig:
             load_config(None, [f"ga.{field}={value}"])
 
     def test_edges_accepted(self):
-        config = load_config(None, ["ga.pop=1", "ga.gens=0", "ga.tournament=1", "ga.elitism=0",
+        config = load_config(None, ["ga.pop=1", "ga.gens=0", "ga.tournament=1",
                                     "ga.crossover_rate=0"])
-        assert config.ga == GaConfig(pop=1, gens=0, tournament=1, elitism=0, crossover_rate=0.0)
+        assert config.ga == GaConfig(pop=1, gens=0, tournament=1, crossover_rate=0.0)
         assert load_config(None, ["ga.crossover_rate=1"]).ga.crossover_rate == 1.0
 
 
