@@ -28,9 +28,8 @@ def main() -> None:
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["generation", "max", "min", "avg"])
-        for s in result.trace:
-            writer.writerow([s.generation, f"{s.max_fitness:.6f}",
-                             f"{s.min_fitness:.6f}", f"{s.avg_fitness:.6f}"])
+        for gen, stats in enumerate(result.trace.tolist()):
+            writer.writerow([gen, *(f"{v:.6f}" for v in stats)])
 
     price, alloc = result.best
     print(f"best: price={price:.3f} alloc={alloc:.3f} profit={result.best_fitness:.4f} "

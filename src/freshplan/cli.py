@@ -43,9 +43,15 @@ GA_TRACE_HEADER = ["generation", "max", "min", "avg"]
 
 
 def _check_artifact_dirs(config: RunConfig, out_dir: Path) -> None:
-    """Every `paths.*` artifact's directory is `out_dir`, which `run` creates,
-    or exists, so that no stage does its work only to fail at the write."""
-    for key, name in vars(config.paths).items():
+    """No two `paths.*` keys, `loss_curves.csv` or `manifest.json` name one
+    file, and every artifact's directory is `out_dir`, which `run` creates, or
+    exists, so that no stage overwrites another's file or fails at the write."""
+    owners = {os.path.normpath(out_dir / name): name for name in ("loss_curves.csv", "manifest.json")}
+    for key, name in vars(config.paths).items():  # an empty `boundaries`, last, claims nothing
+        path = os.path.normpath(out_dir / name)
+        if name and path in owners:
+            raise InputError(f"paths.{key} and {owners[path]} name the same file {path}")
+        owners[path] = f"paths.{key}"
         directory = (out_dir / name).parent
         if key != "boundaries" and directory != out_dir and not directory.is_dir():
             raise InputError(f"paths.{key}: directory {directory} does not exist")
@@ -238,9 +244,10 @@ def cmd_rank(config: RunConfig, out_dir: Path, manifest: RunManifest) -> None:
     cost_frames = pipeline.load_costs(str(costs_path))
     manifest.note_input("sales", sales_path)
     manifest.note_input("costs", costs_path)
-    weights, result = mcdm.rank_products(*_build_criteria(qty_frames, price_frames, cost_frames))
+    ids, criteria = _build_criteria(qty_frames, price_frames, cost_frames)
+    weights, result = mcdm.rank_products(ids, criteria)
 
-    scores_by_id = dict(zip(result.product_ids, zip(result.scores, result.d_plus, result.d_minus)))
+    scores_by_id = dict(zip(ids, zip(result.scores, result.d_plus, result.d_minus)))
     rows = [[str(rank), pid, *map(fmt, scores_by_id[pid])]
             for rank, pid in enumerate(result.ranking, start=1)]
     ranking_path = out_dir / config.paths.ranking
@@ -318,8 +325,8 @@ def cmd_optimize(config: RunConfig, out_dir: Path, manifest: RunManifest,
     plan_path = out_dir / config.paths.plan
     pipeline.write_csv(plan_path, PLAN_HEADER, plan_rows)
 
-    trace_rows = [[str(s.generation), fmt(s.max_fitness), fmt(s.min_fitness),
-                   fmt(s.avg_fitness)] for s in result.trace]
+    trace_rows = [[str(gen), *map(fmt, stats)]
+                  for gen, stats in enumerate(result.trace.tolist())]
     trace_path = out_dir / config.paths.ga_trace
     pipeline.write_csv(trace_path, GA_TRACE_HEADER, trace_rows)
 
@@ -415,12 +422,15 @@ def run(argv: list[str] | None = None) -> int:
 
     out_dir = Path(args.out)
     _check_artifact_dirs(config, out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out {out_dir}: {exc.strerror}") from exc
     manifest = RunManifest(config, out_dir)
     for name in RUN_ALL_ORDER if args.command == "run-all" else [args.command]:
         baseline = {"baseline": args.baseline} if name == "optimize" else {}
         STAGES[name](config, out_dir, manifest, **baseline)
-    manifest.write()
+        manifest.write()  # after every stage, so a failed stage keeps the earlier ones
     return 0
 
 

@@ -206,21 +206,33 @@ def file_digest(path: str | Path) -> str:
 
 
 class RunManifest:
-    """Records the config, input digests, and per-stage outputs and timings."""
+    """Records the config, input digests, and per-stage outputs and timings.
+    It starts from the `manifest.json` in `out_dir` when that has this run's
+    tool version and config, so one-stage runs add up to one record, and drops
+    what it carried over once a stage reads an input whose sha256 differs."""
 
     def __init__(self, config: RunConfig, out_dir: Path):
         self.out_dir = out_dir
-        self.data = {
-            "tool_version": __version__,
-            "config": dict(config.flat_items()),
-            "inputs": {},
-            "stages": {},
-        }
+        self.data = {"tool_version": __version__, "config": dict(config.flat_items()),
+                     "inputs": {}, "stages": {}}
+        try:
+            earlier = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            earlier = None
+        same_run = isinstance(earlier, dict) and all(
+            earlier.get(key) == self.data[key] for key in ("tool_version", "config"))
+        # The carried entries that this run's own have not replaced yet.
+        self.carried = {key: dict(earlier[key]) if same_run else {} for key in ("inputs", "stages")}
 
     def note_input(self, name: str, path: str | Path) -> None:
-        self.data["inputs"][name] = {"path": str(path), "sha256": file_digest(path)}
+        entry = {"path": str(path), "sha256": file_digest(path)}
+        if self.carried["inputs"].get(name, entry)["sha256"] != entry["sha256"]:
+            self.carried = {"inputs": {}, "stages": {}}
+        self.carried["inputs"].pop(name, None)
+        self.data["inputs"][name] = entry
 
     def end_stage(self, name: str, started: float, outputs: list[str], **extra) -> None:
+        self.carried["stages"].pop(name, None)
         self.data["stages"][name] = {
             "outputs": outputs,
             "seconds": round(time.perf_counter() - started, 3),
@@ -228,6 +240,8 @@ class RunManifest:
         }
 
     def write(self) -> Path:
+        record = {**self.data, **{key: {**self.carried[key], **self.data[key]}
+                                  for key in ("inputs", "stages")}}
         path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return path

@@ -64,8 +64,7 @@ class ForecasterModel:
 
     @classmethod
     def create(cls, normalizer: Normalizer, product_id: str, seed: int,
-               config: ModelConfig | None = None) -> "ForecasterModel":
-        config = config if config is not None else ModelConfig()
+               config: ModelConfig) -> "ForecasterModel":
         rng = np.random.default_rng(seed)
         cost_branch = layers.TcnBranch.create(
             rng, 1, config.channels, config.kernel, config.dilations)
@@ -84,11 +83,6 @@ class ForecasterModel:
         fused = layers.attention_fuse_graph(
             self.cost_branch.apply(history), self.term_branch.apply(terms))
         return self.head.apply(fused)
-
-    def predict_scaled(self, histories: np.ndarray, term_matrices: np.ndarray) -> np.ndarray:
-        """Batched forward pass on already-scaled inputs, no graph kept."""
-        out = self.forward(Tensor(histories[:, :, None]), Tensor(term_matrices))
-        return out.data
 
 
 @dataclass
@@ -148,8 +142,8 @@ def predict(model: ForecasterModel, history, future_terms) -> np.ndarray:
     if future_terms.shape != (HORIZON_DAYS, TERM_WIDTH):
         raise InputError(f"future_terms must be {HORIZON_DAYS}x{TERM_WIDTH}")
     scaled = model.normalizer.normalize(history)
-    out = model.predict_scaled(scaled[None, :], future_terms[None, :, :])
-    return model.normalizer.inverse(out[0])
+    out = model.forward(Tensor(scaled[None, :, None]), Tensor(future_terms[None]))
+    return model.normalizer.inverse(out.data[0])
 
 
 @dataclass(frozen=True)

@@ -149,14 +149,6 @@ def crossover(parents_a: np.ndarray, parents_b: np.ndarray,
 
 
 @dataclass
-class GenerationStats:
-    generation: int
-    max_fitness: float
-    min_fitness: float
-    avg_fitness: float
-
-
-@dataclass
 class GaConfig:
     """The GA's settings, which are also the run config's `ga.*` keys (their
     accepted values are in `config.RULES`)."""
@@ -174,7 +166,7 @@ class GaConfig:
 class GaResult:
     best: np.ndarray
     best_fitness: float
-    trace: list[GenerationStats]
+    trace: np.ndarray  # [gens, 3]: max, min and mean fitness after each generation
     evaluations: int
     last_improvement: int  # last generation that raised the best fitness, -1 if none did
 
@@ -208,8 +200,7 @@ def breed(pop: np.ndarray, fits: np.ndarray, problem: PlanProblem, config: GaCon
     return repair(gaussian_mutate(children, problem, config, rng, scale), problem)
 
 
-def evolve(problem: PlanProblem, config: GaConfig | None = None,
-           seed: int = 0) -> GaResult:
+def evolve(problem: PlanProblem, config: GaConfig, seed: int = 0) -> GaResult:
     """Run the GA.  The best individual so far is carried over in place of
     each generation's worst child, so that the trace's best never falls.
 
@@ -219,7 +210,6 @@ def evolve(problem: PlanProblem, config: GaConfig | None = None,
     genes, each as one block."""
     if np.all(problem.upper <= 0.0):
         raise InputError("no feasible plan")
-    config = config if config is not None else GaConfig()
     rng = np.random.default_rng(seed)
 
     pop = rng.uniform(problem.low, problem.high, size=(config.pop, problem.low.size))
@@ -231,7 +221,7 @@ def evolve(problem: PlanProblem, config: GaConfig | None = None,
     best_fit = float(fits[best_idx])
     last_improvement = -1
 
-    trace: list[GenerationStats] = []
+    trace = np.empty((config.gens, 3))
     scale = 1.0
     for gen in range(config.gens):
         children = breed(pop, fits, problem, config, rng, scale)
@@ -248,13 +238,7 @@ def evolve(problem: PlanProblem, config: GaConfig | None = None,
         child_fits[worst] = best_fit
         pop, fits = children, child_fits
         scale *= config.sigma_decay
-
-        trace.append(GenerationStats(
-            generation=gen,
-            max_fitness=float(fits.max()),
-            min_fitness=float(fits.min()),
-            avg_fitness=float(fits.mean()),
-        ))
+        trace[gen] = fits.max(), fits.min(), fits.mean()
     return GaResult(best=best, best_fitness=best_fit, trace=trace, evaluations=evaluations,
                     last_improvement=last_improvement)
 

@@ -25,16 +25,15 @@ the ReLU with `np.maximum` and keeps a boolean mask for its derivative.  The
 attention backward forms its two outer products with `einsum` and its two
 dot-product gradients as `keys @ g` and `g_sim @ keys`, and adds the query's
 gradient into the last cost row in place.  Each of those gives every output
-element the bits of the batched per-sample form it replaced: an outer product
-is one multiplication per element, and a flat matmul computes the same dot
-products, which OpenBLAS (numpy's bundled BLAS) rounds alike at these shapes.
-So forward values and input gradients keep their bits; `tests/test_layers.py`
-checks them against that form in `tests/oracles.py`.  Two sums changed their
-rounding order: the kernel gradient and the projection gradient, each a sum
-over batch and time, are now one matmul over the B*T rows where they were
-per-sample matmuls summed over the batch afterwards; they agree with the old
-form to about 1e-15 relative.  The bias gradient stays a sum over the batch,
-then over time.  Every gradient slot receives at most two terms, and IEEE
+element the bits of the batched per-sample form in `tests/oracles.py`: an
+outer product is one multiplication per element, and a flat matmul computes
+the same dot products, which OpenBLAS (numpy's bundled BLAS) rounds alike at
+these shapes.  So forward values and input gradients equal that form bit for
+bit, which `tests/test_layers.py` checks.  Two sums round in another order:
+the kernel gradient and the projection gradient, each a sum over batch and
+time, are one matmul over the B*T rows, not per-sample matmuls summed over the
+batch; they agree with the per-sample form to about 1e-15 relative.  The bias
+gradient is a sum over the batch, then over time.  Every gradient slot receives at most two terms, and IEEE
 addition of two terms does not depend on their order, so the order in which
 nodes deliver gradients cannot change a bit.
 """

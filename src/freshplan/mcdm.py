@@ -35,8 +35,7 @@ def normalize_criteria(x) -> np.ndarray:
 @dataclass
 class EntropyWeights:
     e: np.ndarray  # information entropy per criterion
-    d: np.ndarray  # information utility, 1 - e
-    w: np.ndarray  # normalized weights
+    w: np.ndarray  # weights: information utility 1 - e, normalized to sum 1
 
 
 def entropy_weights(z) -> EntropyWeights:
@@ -61,12 +60,13 @@ def entropy_weights(z) -> EntropyWeights:
         w = np.full(m, 1.0 / m)
     else:
         w = d / d.sum()
-    return EntropyWeights(e=e, d=d, w=w)
+    return EntropyWeights(e=e, w=w)
 
 
 @dataclass
 class TopsisResult:
-    product_ids: list[str]
+    """Scores and distances in the matrix's row order; `ranking`, the ids best first."""
+
     scores: np.ndarray
     d_plus: np.ndarray
     d_minus: np.ndarray
@@ -101,13 +101,8 @@ def topsis_scores(z, w, product_ids: list[str] | None = None) -> TopsisResult:
     scores[ok] = d_minus[ok] / denom[ok]
 
     order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
-    return TopsisResult(
-        product_ids=list(ids),
-        scores=scores,
-        d_plus=d_plus,
-        d_minus=d_minus,
-        ranking=[ids[i] for i in order],
-    )
+    return TopsisResult(scores=scores, d_plus=d_plus, d_minus=d_minus,
+                        ranking=[ids[i] for i in order])
 
 
 def rank_products(product_ids: list[str], x) -> tuple[EntropyWeights, TopsisResult]:

@@ -318,19 +318,23 @@ def write_sales(path: str, qty: dict[str, SeriesFrame], price: dict[str, SeriesF
 
 # -- synthetic corpus --------------------------------------------------------
 
+# The generated market's fixed shape, ranges drawn uniformly per product: base
+# cost, and as its fractions the seasonal amplitude and AR(1) sigma; markup; demand.
+BASE_COST_RANGE = (3.0, 10.0)
+AMPLITUDE_FRACTION = (0.35, 0.60)
+AR_RHO = 0.6
+AR_SIGMA_FRACTION = 0.05
+MARKUP_RANGE = (1.4, 1.9)
+DEMAND_INTERCEPT_RANGE = (60.0, 140.0)
+DEMAND_SLOPE_PER_COST = (2.0, 5.0)
+
 
 @dataclass
 class SyntheticParams:
-    """Knobs of the generated corpus; defaults give a clearly seasonal, noisy market."""
+    """The corpus's noise levels (fractions of base cost and of demand
+    intercept) and first day; defaults give a clearly seasonal, noisy market."""
 
-    base_cost_range: tuple[float, float] = (3.0, 10.0)
-    amplitude_fraction: tuple[float, float] = (0.35, 0.60)
-    ar_rho: float = 0.6
-    ar_sigma_fraction: float = 0.05
-    markup_range: tuple[float, float] = (1.4, 1.9)
     price_noise_fraction: float = 0.04
-    demand_intercept_range: tuple[float, float] = (60.0, 140.0)
-    demand_slope_per_cost: tuple[float, float] = (2.0, 5.0)
     sales_noise_fraction: float = 0.05
     start_date: dt.date = field(default_factory=lambda: dt.date(2022, 1, 1))
 
@@ -376,24 +380,24 @@ def generate_synthetic(
         pid = f"P{p:0{width}d}"
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2861, p]))
 
-        base = rng.uniform(*params.base_cost_range)
-        amplitude = rng.uniform(*params.amplitude_fraction) * base
+        base = rng.uniform(*BASE_COST_RANGE)
+        amplitude = rng.uniform(*AMPLITUDE_FRACTION) * base
         profile = _term_profile(rng)
 
         ar = np.zeros(days)
-        shocks = rng.normal(0.0, params.ar_sigma_fraction * base, size=days)
+        shocks = rng.normal(0.0, AR_SIGMA_FRACTION * base, size=days)
         for t in range(1, days):
-            ar[t] = params.ar_rho * ar[t - 1] + shocks[t]
+            ar[t] = AR_RHO * ar[t - 1] + shocks[t]
 
         cost = base + amplitude * profile[term_idx] + ar
         cost = np.maximum(cost, 0.25 * base)
 
-        markup = rng.uniform(*params.markup_range)
+        markup = rng.uniform(*MARKUP_RANGE)
         price = cost * markup + rng.normal(0.0, params.price_noise_fraction * base, size=days)
         price = np.maximum(price, 0.05 * base)
 
-        intercept = rng.uniform(*params.demand_intercept_range)
-        slope = rng.uniform(*params.demand_slope_per_cost) * intercept / (20.0 * base)
+        intercept = rng.uniform(*DEMAND_INTERCEPT_RANGE)
+        slope = rng.uniform(*DEMAND_SLOPE_PER_COST) * intercept / (20.0 * base)
         quantity = intercept - slope * price + rng.normal(
             0.0, params.sales_noise_fraction * intercept, size=days)
         quantity = np.maximum(quantity, 0.0)

@@ -54,7 +54,6 @@ class TermBoundaryTable:
                 dt.date(2001, month, day)  # 2001 is non-leap; boundaries never fall on Feb 29
             except ValueError as exc:
                 raise InputError(f"invalid boundary date ({month}, {day})") from exc
-        self.entries = entries
         # Boundaries sorted by calendar position as month * 100 + day keys,
         # with the term index each one starts.
         ordered = sorted((100 * month + day, idx) for idx, (month, day) in enumerate(entries))

@@ -373,7 +373,7 @@ def attention_reference(x1, x2, g):
 
 def holdout_mse(model, windows) -> float:
     """Mean squared error of the model over windows, in raw units."""
-    preds = model.predict_scaled(windows.histories, windows.terms)
+    preds = model.forward(ad.Tensor(windows.histories[:, :, None]), ad.Tensor(windows.terms)).data
     inverse = model.normalizer.inverse
     return float(np.mean((inverse(preds) - inverse(windows.targets)) ** 2))
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from freshplan import cli, forecaster, intervals, pipeline
-from freshplan.config import RunConfig, RunManifest, derive_seed, load_config
+from freshplan.config import RunConfig, RunManifest, derive_seed, file_digest, load_config
 from freshplan.errors import InputError, InvariantError
 from freshplan.forecaster import ModelConfig
 from freshplan.solarterms import DEFAULT_BOUNDARIES, encode_date_range
@@ -551,6 +551,7 @@ class TestInputSchemas:
         for argv, names in [(["rank"], ["costs", "sales"]),
                             (["optimize"], ["ranking", "forecast", "intervals", "sales"]),
                             (stage_argv("boundaries", out)[2:], ["boundaries"])]:
+            (out / "manifest.json").unlink(missing_ok=True)  # else it adds to the last stage's
             assert cli.run(["--out", str(out), *argv]) == 0
             inputs = json.loads((out / "manifest.json").read_text())["inputs"]
             paths = {name: out / f"{name}.csv" for name in names}
@@ -848,6 +849,33 @@ class TestCommandLine:
         assert exit_code(monkeypatch, ["--out", str(tmp_path / "new"), *settings, "synth"]) == 1
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize("setting,keys", [
+        ("paths.sales=costs.csv", "paths.sales and paths.costs"),
+        ("paths.intervals=forecast.csv", "paths.intervals and paths.forecast"),
+        ("paths.ga_trace=./loss_curves.csv", "paths.ga_trace and loss_curves.csv"),
+        ("paths.plan=sub/../manifest.json", "paths.plan and manifest.json"),
+        ("paths.boundaries=ranking.csv", "paths.boundaries and paths.ranking"),
+        ("paths.forecast={out}/costs.csv", "paths.forecast and paths.costs"),
+    ])
+    def test_two_paths_naming_one_file_exit_1_before_any_stage(
+            self, tmp_path, monkeypatch, capsys, caplog, setting, keys):
+        for command in ("synth", "run-all"):
+            out = tmp_path / command
+            settings = [f for s in (*SMALL_RUN, setting.format(out=out)) for f in ("--set", s)]
+            assert exit_code(monkeypatch, ["--out", str(out), *settings, command]) == 1
+            assert f"{keys} name the same file" in caplog.text
+            assert "Traceback" not in caplog.text + capsys.readouterr().err
+            assert not out.exists()
+
+    def test_out_that_is_a_file_exits_1(self, tmp_path, monkeypatch, capsys, caplog):
+        (tmp_path / "file").write_text("")
+        settings = [f for s in SMALL_RUN for f in ("--set", s)]
+        for out, reason in [(tmp_path / "file", "File exists"),
+                            (tmp_path / "file" / "sub", "Not a directory")]:
+            assert exit_code(monkeypatch, ["--out", str(out), *settings, "synth"]) == 1
+            assert f"--out {out}: {reason}" in caplog.text
+            assert "Traceback" not in caplog.text + capsys.readouterr().err
+
     def test_cli_import_leaves_pool_and_statistics_modules_out(self):
         """Only the stages that need them import these, so that no stage
         process pays for them at start-up."""
@@ -935,3 +963,50 @@ class TestConfigValues:
     def test_every_key_has_a_case_or_a_reason(self):
         covered = {key for key, _, _ in BAD_CONFIG_VALUES} | set(NO_BAD_VALUE)
         assert covered == {key for key, _ in RunConfig().flat_items()}
+
+
+QUICK_RUN = [f for key in ("synth.products=4", "synth.days=60", "tcn.channels=4",
+                           "train.epochs=2", "bootstrap.replicas=2", "bootstrap.epochs=1",
+                           "bootstrap.channels=4", "topsis.top_k=3", "ga.pop=10", "ga.gens=10")
+             for f in ("--set", key)]
+
+
+class TestManifestAcrossRuns:
+    """One `manifest.json` per output directory: a run adds its stages to the
+    record of earlier runs of the same config over the same inputs."""
+
+    @staticmethod
+    def manifest(out: Path) -> dict:
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_one_stage_runs_add_up_to_one_record(self, tmp_path):
+        for stage in cli.RUN_ALL_ORDER:
+            assert cli.run([*QUICK_RUN, "--out", str(tmp_path), stage]) == 0
+        record = self.manifest(tmp_path)
+        assert set(record["stages"]) == set(cli.RUN_ALL_ORDER)
+        assert set(record["inputs"]) == {"costs", "sales", "forecast", "intervals", "ranking"}
+        assert record["inputs"]["costs"]["sha256"] == file_digest(tmp_path / "costs.csv")
+
+        # Another seed is another run: its record starts fresh.
+        assert cli.run([*QUICK_RUN, "--seed", "7", "--out", str(tmp_path), "rank"]) == 0
+        assert set(self.manifest(tmp_path)["stages"]) == {"rank"}
+        for stage in ("forecast", "intervals"):
+            assert cli.run([*QUICK_RUN, "--seed", "7", "--out", str(tmp_path), stage]) == 0
+        assert set(self.manifest(tmp_path)["stages"]) == {"rank", "forecast", "intervals"}
+
+        # Other costs start it fresh too: what was carried over goes.
+        costs = (tmp_path / "costs.csv").read_text().splitlines()
+        costs[1] = costs[1].rsplit(",", 1)[0] + ",1.000000"
+        (tmp_path / "costs.csv").write_text("\n".join(costs) + "\n")
+        assert cli.run([*QUICK_RUN, "--seed", "7", "--out", str(tmp_path), "rank"]) == 0
+        record = self.manifest(tmp_path)
+        assert set(record["stages"]) == {"rank"} and set(record["inputs"]) == {"costs", "sales"}
+
+    def test_failed_stage_keeps_the_earlier_ones(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InvariantError("no plan")
+
+        monkeypatch.setattr(cli.gaopt, "evolve", fail)
+        with pytest.raises(InvariantError):
+            cli.run([*QUICK_RUN, "--out", str(tmp_path), "run-all"])
+        assert set(self.manifest(tmp_path)["stages"]) == {"synth", "forecast", "intervals", "rank"}

@@ -281,21 +281,20 @@ class TestEvolve:
         for seed in range(10):
             res = evolve(PlanProblem(**analytic_context()), GaConfig(pop=100, gens=200), seed=seed)
             assert res.best_fitness >= 0.98 * target
-            peaks = [s.max_fitness for s in res.trace]
+            peaks = res.trace[:, 0].tolist()
             assert all(b >= a for a, b in zip(peaks, peaks[1:]))
 
     def test_deterministic_per_seed(self):
         a = evolve(PlanProblem(**analytic_context()), GaConfig(pop=30, gens=40), seed=5)
         b = evolve(PlanProblem(**analytic_context()), GaConfig(pop=30, gens=40), seed=5)
         assert np.array_equal(a.best, b.best)
-        assert [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in a.trace] == \
-               [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in b.trace]
+        assert a.trace.tolist() == b.trace.tolist()
 
     def test_stats_ordering_every_generation(self):
         res = evolve(PlanProblem(**analytic_context()), GaConfig(pop=40, gens=50), seed=2)
-        assert len(res.trace) == 50
-        for s in res.trace:
-            assert s.min_fitness <= s.avg_fitness <= s.max_fitness
+        assert res.trace.shape == (50, 3)
+        for max_fitness, min_fitness, avg_fitness in res.trace.tolist():
+            assert min_fitness <= avg_fitness <= max_fitness
 
     def test_infeasible_context_rejected(self):
         with pytest.raises(InputError, match="no feasible plan"):
@@ -390,7 +389,7 @@ def test_generation_matches_child_by_child_reference(products, pop_size, tournam
 
 def test_last_improvement_is_last_rise_of_best():
     res = evolve(PlanProblem(**_instance_32()), GaConfig(pop=30, gens=60), seed=4)
-    best = [s.max_fitness for s in res.trace]
+    best = res.trace[:, 0].tolist()
     rises = [g for g in range(1, len(best)) if best[g] > best[g - 1]]
     assert 0 <= res.last_improvement == rises[-1] < 60
     assert best[res.last_improvement] == res.best_fitness
@@ -398,7 +397,7 @@ def test_last_improvement_is_last_rise_of_best():
 
 def test_no_generations_means_no_improvement():
     res = evolve(PlanProblem(**analytic_context()), GaConfig(pop=5, gens=0), seed=0)
-    assert (res.last_improvement, res.trace, res.evaluations) == (-1, [], 5)
+    assert (res.last_improvement, res.trace.shape, res.evaluations) == (-1, (0, 3), 5)
 
 
 def test_draw_order_does_not_depend_on_batching(monkeypatch):
@@ -410,7 +409,7 @@ def test_draw_order_does_not_depend_on_batching(monkeypatch):
     def run():
         result = evolve(problem, GaConfig(pop=31, gens=40), seed=3)
         best, best_fit = gaopt.random_search(problem, result.evaluations, seed=5003)
-        trace = [(s.max_fitness, s.min_fitness, s.avg_fitness) for s in result.trace]
+        trace = result.trace.tolist()
         return result.best.tobytes(), result.best_fitness, trace, result.evaluations, \
             best.tobytes(), best_fit
 
@@ -441,8 +440,7 @@ def test_evolve_bits_are_pinned():
         "0x1.4000000000000p+4", "0x1.4000000000000p+3", "0x1.c000000000000p+4",
         "0x1.0c6f7a0b5ed8dp-20", "0x1.59085c44cbe8ep+5"]
     assert result.best_fitness.hex() == "0x1.8291ad47b5a9ep+8"
-    assert [(s.max_fitness.hex(), s.min_fitness.hex(), s.avg_fitness.hex())
-            for s in result.trace] == [
+    assert [tuple(map(float.hex, stats)) for stats in result.trace.tolist()] == [
         ("0x1.51c02cc7ebb59p+8", "0x1.84fc33a0ae28cp+7", "0x1.f6e9e7b2c7c02p+7"),
         ("0x1.53d378bf88749p+8", "0x1.b3e58babc56f7p+7", "0x1.1db5e410678a7p+8"),
         ("0x1.54e85b3ad642cp+8", "0x1.2298bfe9cf211p+8", "0x1.413cbe7ba061ep+8"),

@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -158,6 +159,23 @@ class TestSynthetic:
             generate_synthetic(0, 40, seed=1)
         with pytest.raises(InputError):
             generate_synthetic(1, 10, seed=1)
+
+    @pytest.mark.parametrize("params,sales_sha256", [
+        (None, "f82430099949cda7641444c89619ede241d15099199f8e4fe07c22dbbb21c6da"),
+        (pipeline.SyntheticParams(sales_noise_fraction=0.03, price_noise_fraction=0.03),
+         "5e89f7ef4f5beb481bf93eea43a5f796a23afd0253d7d6f5f62b998075930950"),
+    ], ids=["default", "A8-quieter"])
+    def test_corpus_bytes_pinned(self, tmp_path, params, sales_sha256):
+        """The CSV bytes of a small corpus, at the default noise and at A8's: a
+        change to a corpus constant, an expression or the draw order shows here."""
+        costs, sales, prices = generate_synthetic(3, 40, seed=5, params=params)
+        pipeline.write_costs(str(tmp_path / "costs.csv"), costs)
+        pipeline.write_sales(str(tmp_path / "sales.csv"), sales, prices)
+        digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("costs.csv", "sales.csv")}
+        assert digest == {
+            "costs.csv": "889a6db95820107f3ff8609679e5b4d6641eb3ab4bf9a8eaf9f19441ab2ad082",
+            "sales.csv": sales_sha256}
 
 
 class TestCsvRoundtrip:
